@@ -59,39 +59,58 @@ def disposable_transactions(net: PlaceTransitionNet, addresses_d: set[int]) -> D
     """
     if not net.sealed:
         raise NetNotSealedError("disposable_transactions requires a sealed net")
-    mask = np.zeros(net.num_places, dtype=bool)
-    if addresses_d:
-        mask[list(addresses_d)] = True
+    disposable = _mask(net.num_places, list(addresses_d))
+    pre = net.pre.tocsc()
+    post = net.post.tocsc()
 
-    candidates = np.nonzero((net.pre.col_nnz_all() == 1) & (net.post.col_nnz_all() == 2))[0]
-    transactions_d = set()
-    for t in candidates.tolist():
-        in_rows, _ = net.pre.column_entries(t)
-        if not mask[in_rows[0]]:
-            continue
-        out_rows, _ = net.post.column_entries(t)
-        if mask[out_rows[0]] or mask[out_rows[1]]:
-            transactions_d.add(t)
+    shaped = np.flatnonzero((np.diff(pre.indptr) == 1) & (np.diff(post.indptr) == 2))
+    first_out = post.indptr[shaped]
+    chain = shaped[
+        disposable[pre.indices[pre.indptr[shaped]]]
+        & (disposable[post.indices[first_out]] | disposable[post.indices[first_out + 1]])
+    ]
 
-    starts_d = set()
-    for t in transactions_d:
-        in_rows, _ = net.pre.column_entries(t)
-        # the input is disposable, so its post row holds exactly the funder
-        funder_cols, _ = net.post.row_entries(int(in_rows[0]))
-        if int(funder_cols[0]) not in transactions_d:
-            starts_d.add(t)
-    return DisposableSets(set(addresses_d), transactions_d, starts_d)
+    # the input is disposable, so the only transaction paying it is its funder
+    in_chain = _mask(net.num_transitions, chain)
+    paid_by_chain = _mask(net.num_places, post.indices[in_chain[net.post.entry_columns()]])
+    starts = chain[~paid_by_chain[pre.indices[pre.indptr[chain]]]]
+    return DisposableSets(set(addresses_d), set(chain.tolist()), set(starts.tolist()))
 
 
 def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
     """One chain per start, extended link by link until no successor remains.
 
-    Chains are returned sorted by descending length, ties by first link id.
-    Raises ChainIntegrityError if successors revisit a transaction, which
-    cannot happen on temporally valid input.
+    The successor of a link is the smallest chain transaction spending one
+    of its disposable outputs; any other such spender is recorded in the
+    chain's `bypassed`.  Chains are returned sorted by descending length,
+    ties by first link id.  Raises ChainIntegrityError if successors
+    revisit a transaction, which cannot happen on temporally valid input.
     """
     if not net.sealed:
         raise NetNotSealedError("build_chains requires a sealed net")
+    disposable = _mask(net.num_places, list(sets.addresses_d))
+    in_chain = _mask(net.num_transitions, list(sets.transactions_d))
+    post = net.post.tocsc()
+    pre = net.pre.tocsr()
+
+    # (link, spender) for each disposable output of a chain transaction,
+    # spent by a chain transaction; a disposable place has one spender
+    link = net.post.entry_columns()
+    place = post.indices
+    keep = in_chain[link] & disposable[place] & (np.diff(pre.indptr)[place] > 0)
+    link, place = link[keep], place[keep]
+    spender = pre.indices[pre.indptr[place]]
+    keep = in_chain[spender]
+    link, spender = link[keep], spender[keep]
+    order = np.lexsort((spender, link))
+    link, spender = link[order], spender[order]
+    smallest = np.ones(len(link), dtype=bool)
+    smallest[1:] = link[1:] != link[:-1]
+    successor = dict(zip(link[smallest].tolist(), spender[smallest].tolist()))
+    others: dict[int, list[int]] = {}
+    for t, s in zip(link[~smallest].tolist(), spender[~smallest].tolist()):
+        others.setdefault(t, []).append(s)
+
     used: set[int] = set()
     chains = []
     for start in sorted(sets.starts_d):
@@ -100,37 +119,24 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
         used.add(start)
         chain = Chain([start])
         current = start
-        while True:
-            successor = _next_link(net, current, sets, chain.bypassed)
-            if successor is None:
-                break
-            if successor in used:
+        while current in successor:
+            chain.bypassed.extend(others.get(current, ()))
+            current = successor[current]
+            if current in used:
                 raise ChainIntegrityError(
-                    f"transition {successor} reached twice; successor cycle"
+                    f"transition {current} reached twice; successor cycle"
                 )
-            used.add(successor)
-            chain.links.append(successor)
-            current = successor
+            used.add(current)
+            chain.links.append(current)
         chains.append(chain)
     chains.sort(key=lambda c: (-len(c.links), c.links[0]))
     return chains
 
 
-def _next_link(net, transition, sets, bypassed) -> int | None:
-    candidates = []
-    out_rows, _ = net.post.column_entries(transition)
-    for place in out_rows.tolist():
-        if place not in sets.addresses_d:
-            continue
-        spender_cols, _ = net.pre.row_entries(place)  # exactly one: disposable
-        spender = int(spender_cols[0])
-        if spender in sets.transactions_d:
-            candidates.append(spender)
-    if not candidates:
-        return None
-    candidates.sort()
-    bypassed.extend(candidates[1:])
-    return candidates[0]
+def _mask(size: int, index) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[index] = True
+    return mask
 
 
 def chain_report(net: PlaceTransitionNet, chains: list[Chain]) -> list[dict]:
@@ -139,21 +145,22 @@ def chain_report(net: PlaceTransitionNet, chains: list[Chain]) -> list[dict]:
     Addresses are the disposable path: each link's input plus the last
     link's disposable outputs.
     """
+    names = net.place_names
+    tx_ids = net.transaction_ids
+    pre = net.pre.tocsc()
+    post = net.post.tocsc()
+    disposable = (net.pre.row_nnz_all() == 1) & (net.post.row_nnz_all() == 1)
     rows = []
     for chain in chains:
-        addresses = []
-        for t in chain.links:
-            in_rows, _ = net.pre.column_entries(t)
-            addresses.append(net.address_of(int(in_rows[0])))
-        out_rows, _ = net.post.column_entries(chain.links[-1])
-        for place in out_rows.tolist():
-            if net.pre.row_nnz(place) == 1 and net.post.row_nnz(place) == 1:
-                addresses.append(net.address_of(place))
+        inputs = pre.indices[pre.indptr[chain.links]]  # each link has one input
+        last = chain.links[-1]
+        outputs = post.indices[post.indptr[last]:post.indptr[last + 1]]
+        path = inputs.tolist() + outputs[disposable[outputs]].tolist()
         rows.append(
             {
                 "length": len(chain.links),
-                "transactions": [net.tx_id_of(t) for t in chain.links],
-                "addresses": addresses,
+                "transactions": [tx_ids[t] for t in chain.links],
+                "addresses": [names[p] for p in path],
             }
         )
     return rows

@@ -47,21 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def max_threads() -> int:
-    """Parallelism cap from CHAINPETRI_THREADS (current pipeline is sequential)."""
-    raw = os.environ.get("CHAINPETRI_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid CHAINPETRI_THREADS={raw!r}", file=sys.stderr)
-        return os.cpu_count() or 1
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chainpetri", description=__doc__)
     parser.add_argument(

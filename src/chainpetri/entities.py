@@ -10,6 +10,7 @@ entities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -22,12 +23,20 @@ from .net import ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidenc
 class EntityPartition:
     """Disjoint place groups covering all places of the source net.
 
-    `entities` is ordered by smallest member id, members ascending;
-    `place_to_entity[p]` is the index into `entities` that contains p.
+    `place_to_entity[p]` is the index of the entity that contains place p;
+    entities are numbered by smallest member.  `entities` lists each
+    entity's members ascending, in index order, and is derived from the
+    labels on first use.
     """
 
-    entities: list[list[int]]
     place_to_entity: np.ndarray
+
+    @cached_property
+    def entities(self) -> list[list[int]]:
+        labels = self.place_to_entity
+        members = np.argsort(labels, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(labels)).tolist()
+        return [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
 
 
 @dataclass
@@ -35,63 +44,45 @@ class EntityNet:
     """Entity-level net (one place per entity, transitions shared)."""
 
     net: PlaceTransitionNet
-    member_map: list[list[int]]
+    partition: EntityPartition
+
+    @property
+    def member_map(self) -> list[list[int]]:
+        """Members of each entity place (the partition's own `entities`)."""
+        return self.partition.entities
 
 
 def compute_entities(net: PlaceTransitionNet) -> EntityPartition:
-    """Partition places into entities via union-find over input columns."""
+    """Partition places into entities: components of the co-input graph."""
     if not net.sealed:
         raise NetNotSealedError("compute_entities requires a sealed net")
     if net.level != ADDRESS_LEVEL:
         raise ValueError("compute_entities runs on address-level nets")
 
-    m = net.num_places
-    parent = list(range(m))
-    rank = bytearray(m)
-
+    # Star edges join each transaction's first input to its other inputs.
     csc = net.pre.tocsc()
-    indptr = csc.indptr
-    indices = csc.indices
-    multi = np.nonzero(np.diff(indptr) >= 2)[0]
-    for col in multi.tolist():
-        rows = indices[indptr[col]:indptr[col + 1]].tolist()
-        root = _find(parent, rows[0])
-        for p in rows[1:]:
-            other = _find(parent, p)
-            if other == root:
-                continue
-            # union by rank
-            if rank[root] < rank[other]:
-                root, other = other, root
-            parent[other] = root
-            if rank[root] == rank[other]:
-                if rank[root] < 255:
-                    rank[root] += 1
+    first = csc.indices[csc.indptr[net.pre.entry_columns()]]
+    star = first != csc.indices
+    u, v = first[star], csc.indices[star]
 
-    # Scanning places in ascending order makes each group's first member its
-    # minimum, and dict insertion order sorts entities by that minimum.
-    groups: dict[int, list[int]] = {}
-    for p in range(m):
-        r = _find(parent, p)
-        bucket = groups.get(r)
-        if bucket is None:
-            groups[r] = [p]
-        else:
-            bucket.append(p)
-
-    entities = list(groups.values())
-    place_to_entity = np.empty(m, dtype=np.int64)
-    for index, members in enumerate(entities):
-        for p in members:
-            place_to_entity[p] = index
-    return EntityPartition(entities, place_to_entity)
-
-
-def _find(parent, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]  # path halving
-        x = parent[x]
-    return x
+    # Min-label hooking: each round hooks every root that has a smaller root
+    # across some edge onto the smallest such root, then jumps pointers until
+    # every place points at its root.  Labels only decrease, so a component
+    # ends rooted at its smallest place, and each round removes at least one
+    # root.
+    label = np.arange(net.num_places)
+    while len(u):
+        lu, lv = label[u], label[v]
+        u, v = np.minimum(lu, lv), np.maximum(lu, lv)
+        apart = u != v
+        u, v = u[apart], v[apart]
+        np.minimum.at(label, v, u)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    return EntityPartition(np.unique(label, return_inverse=True)[1])
 
 
 def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> EntityNet:
@@ -100,44 +91,36 @@ def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> Ent
         raise NetNotSealedError("build_entity_net requires a sealed net")
     if net.level != ADDRESS_LEVEL:
         raise ValueError("build_entity_net runs on address-level nets")
-    _check_partition(partition, net.num_places)
+    k = _check_partition(partition, net.num_places)
 
-    k = len(partition.entities)
-    m = net.num_places
-    sizes = np.fromiter((len(e) for e in partition.entities), dtype=np.int64, count=k)
-    flat = np.fromiter(
-        (p for members in partition.entities for p in members),
-        dtype=np.int64,
-        count=int(sizes.sum()),
-    )
-    indptr = np.concatenate([[0], np.cumsum(sizes)])
-    selector = sparse.csr_matrix(
-        (np.ones(len(flat), dtype=np.int64), flat, indptr), shape=(k, m)
-    )
-
-    pre = SparseIncidence.from_csr(selector @ net.pre.tocsr())
-    post = SparseIncidence.from_csr(selector @ net.post.tocsr())
+    labels = partition.place_to_entity
+    shape = (k, net.num_transitions)
+    summed = []
+    for incidence in (net.pre, net.post):
+        coo = incidence.tocsr().tocoo()
+        summed.append(SparseIncidence.from_csr(
+            sparse.coo_matrix((coo.data, (labels[coo.row], coo.col)), shape=shape)
+        ))
     entity_names = [f"e{i}" for i in range(k)]
     entity_net = PlaceTransitionNet._assemble(
-        entity_names, net.transaction_ids, pre, post, ENTITY_LEVEL
+        entity_names, net.transaction_ids, *summed, ENTITY_LEVEL
     )
-    return EntityNet(entity_net, [list(members) for members in partition.entities])
+    return EntityNet(entity_net, partition)
 
 
-def _check_partition(partition: EntityPartition, num_places: int):
-    if len(partition.place_to_entity) != num_places:
+def _check_partition(partition: EntityPartition, num_places: int) -> int:
+    """Validate the labels; returns the number of entities."""
+    labels = partition.place_to_entity
+    if len(labels) != num_places:
         raise PartitionMismatchError(
-            f"partition maps {len(partition.place_to_entity)} places, net has {num_places}"
+            f"partition maps {len(labels)} places, net has {num_places}"
         )
-    flat = np.fromiter(
-        (p for members in partition.entities for p in members), dtype=np.int64
-    )
-    if len(flat) != num_places:
-        raise PartitionMismatchError("entity members do not cover the net's places")
-    if len(flat) and (flat.min() < 0 or flat.max() >= num_places):
-        raise PartitionMismatchError("entity member id out of range")
-    if len(flat) and np.any(np.bincount(flat, minlength=num_places) != 1):
-        raise PartitionMismatchError("entities are not disjoint or miss places")
+    if num_places and labels.min() < 0:
+        raise PartitionMismatchError("negative entity label")
+    sizes = np.bincount(labels)
+    if not sizes.all():
+        raise PartitionMismatchError("entity labels skip an index")
+    return len(sizes)
 
 
 def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
@@ -148,13 +131,8 @@ def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
     """
     if not net.sealed:
         raise NetNotSealedError("cyclic_transitions requires a sealed net")
-    cyclic = []
-    for t in range(net.num_transitions):
-        pre_rows, _ = net.pre.column_entries(t)
-        post_rows, _ = net.post.column_entries(t)
-        if len(np.intersect1d(pre_rows, post_rows, assume_unique=True)):
-            cyclic.append(t)
-    return cyclic
+    both = net.pre.tocsc().multiply(net.post.tocsc()).tocsc()
+    return np.flatnonzero(np.diff(both.indptr)).tolist()
 
 
 def entity_report(partition: EntityPartition, net: PlaceTransitionNet) -> list[dict]:

@@ -74,10 +74,23 @@ def _require_int(value, what: str, tx_id: str | None = None) -> int:
     return value
 
 
-def _require_addr_list(value, what: str, tx_id: str) -> list[str]:
+def _require_height(doc: dict) -> int:
+    if "height" not in doc:
+        raise BlockValidationError("missing field 'height'")
+    height = _require_int(doc["height"], "height")
+    if height < 0:
+        raise BlockValidationError("height must be non-negative")
+    return height
+
+
+def _require_list(value, what: str, tx_id: str) -> list:
     if not isinstance(value, list):
         raise BlockValidationError(f"{what} must be an array", tx_id)
-    for addr in value:
+    return value
+
+
+def _require_addr_list(value, what: str, tx_id: str) -> list[str]:
+    for addr in _require_list(value, what, tx_id):
         if not isinstance(addr, str) or not addr:
             raise BlockValidationError(f"{what} contains a non-address entry {addr!r}", tx_id)
     return value
@@ -91,11 +104,7 @@ def parse_block(json_text: str) -> Block:
         raise BlockParseError(exc.msg, exc.pos) from exc
     if not isinstance(doc, dict):
         raise BlockValidationError("block must be a JSON object")
-    if "height" not in doc:
-        raise BlockValidationError("missing field 'height'")
-    height = _require_int(doc["height"], "height")
-    if height < 0:
-        raise BlockValidationError("height must be non-negative")
+    height = _require_height(doc)
     if "transactions" not in doc:
         raise BlockValidationError("missing field 'transactions'")
     txs_doc = doc["transactions"]
@@ -146,9 +155,7 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
         raise BlockParseError(exc.msg, exc.pos) from exc
     if not isinstance(doc, dict):
         raise BlockValidationError("rawblock must be a JSON object")
-    if "height" not in doc:
-        raise BlockValidationError("missing field 'height'")
-    height = _require_int(doc["height"], "height")
+    height = _require_height(doc)
     if "tx" not in doc or not isinstance(doc["tx"], list):
         raise BlockValidationError("missing or invalid field 'tx'")
 
@@ -162,7 +169,7 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
             raise BlockValidationError("rawblock tx missing 'hash'")
 
         inputs = []
-        for entry in tx.get("inputs", []):
+        for entry in _require_list(tx.get("inputs", []), "inputs", tx_id):
             if not isinstance(entry, dict):
                 raise BlockValidationError("input entry must be an object", tx_id)
             prev = entry.get("prev_out")
@@ -175,7 +182,7 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
                 report.skipped_inputs += 1
 
         outputs = []
-        for entry in tx.get("out", []):
+        for entry in _require_list(tx.get("out", []), "out", tx_id):
             if not isinstance(entry, dict):
                 raise BlockValidationError("output entry must be an object", tx_id)
             addr = entry.get("addr")

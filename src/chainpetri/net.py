@@ -155,6 +155,10 @@ class SparseIncidence:
         self._require_sealed()
         return np.diff(self._csc.indptr)
 
+    def entry_columns(self) -> np.ndarray:
+        """Column id of every entry in compressed-column order (sealed nets only)."""
+        return np.repeat(np.arange(self.num_cols), self.col_nnz_all())
+
     def tocsr(self):
         self._require_sealed()
         return self._csr
@@ -398,6 +402,11 @@ def load_snapshot(source) -> PlaceTransitionNet:
     transitions = _check_names(doc["transitions"], "transitions")
     pre = _check_triplets(doc["pre"], "pre", len(places), len(transitions))
     post = _check_triplets(doc["post"], "post", len(places), len(transitions))
+    no_outputs = np.flatnonzero(post.col_nnz_all() == 0)
+    if len(no_outputs):
+        raise SnapshotError(
+            f"transition {transitions[no_outputs[0]]!r} has no post arcs", "post"
+        )
     return PlaceTransitionNet._assemble(places, transitions, pre, post, ADDRESS_LEVEL)
 
 
@@ -424,6 +433,9 @@ def _check_triplets(value, section: str, num_rows: int, num_cols: int) -> Sparse
             raise SnapshotError("ragged triplet array", section) from exc
         if trip.ndim != 2 or trip.shape[1] != 3 or trip.dtype.kind != "i":
             raise SnapshotError("entries must be integer [row, col, value] triplets", section)
+        # numpy reads JSON true/false as 1/0 when they are mixed with integers
+        if bool in {type(x) for entry in value for x in entry}:
+            raise SnapshotError("entries must be integers, not booleans", section)
     rows, cols, vals = trip[:, 0], trip[:, 1], trip[:, 2]
     if len(rows):
         if rows.min() < 0 or rows.max() >= num_rows:

@@ -131,3 +131,60 @@ def random_transactions(rng: random.Random, n_tx: int, pool_size: int,
         outputs = rng.sample(pool, k=rng.randint(1, min(max_out, pool_size)))
         txs.append((f"x{j}", inputs, outputs))
     return txs
+
+
+def random_spend_tree(rng: random.Random, n_tx: int):
+    """Mostly one-input/two-output spends of fresh outputs, so disposable
+    hops branch and chain forks occur; some co-spends and address reuse."""
+    txs, unspent, fresh = [], [], iter(f"f{i}" for i in range(3 * n_tx + 2))
+    for j in range(n_tx):
+        r = rng.random()
+        if not unspent or r < 0.1:
+            outs, inputs = [next(fresh), next(fresh)], []
+        elif r < 0.8:
+            inputs, outs = [unspent.pop(rng.randrange(len(unspent)))], [next(fresh), next(fresh)]
+        elif r < 0.9 and len(unspent) >= 2:
+            inputs = [unspent.pop(rng.randrange(len(unspent))) for _ in range(2)]
+            outs = [next(fresh)]
+        else:
+            reused = rng.choice(unspent)
+            inputs, outs = [reused], [next(fresh), reused]
+        txs.append((f"s{j}", inputs, outs))
+        unspent.extend(o for o in outs if o not in unspent)
+    return txs
+
+
+def walk_chains(pre: np.ndarray, post: np.ndarray):
+    """Disposable sets and chains by a per-transition walk over dense matrices.
+
+    Returns (chain transactions, starts, [(links, bypassed, address path)])
+    with chains in the documented order: descending length, then first link.
+    """
+    def places(matrix, t):
+        return set(np.flatnonzero(matrix[:, t]).tolist())
+
+    def first(row):
+        return int(np.flatnonzero(row)[0])
+
+    disposable = {p for p in range(pre.shape[0]) if pre[p].sum() == 1 and post[p].sum() == 1}
+    chain_tx = {
+        t for t in range(pre.shape[1])
+        if len(places(post, t)) == 2 and places(post, t) & disposable
+        and len(places(pre, t)) == 1 and places(pre, t) <= disposable
+    }
+    starts = {t for t in chain_tx if first(post[min(places(pre, t))]) not in chain_tx}
+    chains = []
+    for start in sorted(starts):
+        links, bypassed = [start], []
+        while True:
+            hops = places(post, links[-1]) & disposable
+            spenders = sorted(first(pre[p]) for p in hops if first(pre[p]) in chain_tx)
+            if not spenders:
+                break
+            links.append(spenders[0])
+            bypassed.extend(spenders[1:])
+        path = [min(places(pre, t)) for t in links]
+        path += sorted(places(post, links[-1]) & disposable)
+        chains.append((links, bypassed, path))
+    chains.sort(key=lambda c: (-len(c[0]), c[0][0]))
+    return chain_tx, starts, chains

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from chainpetri import (
@@ -18,7 +20,7 @@ from chainpetri import (
     ingest,
 )
 from conftest import SAMPLE_TXS
-from helpers import build_net
+from helpers import build_net, random_spend_tree, walk_chains
 
 
 def _pipeline(net):
@@ -216,3 +218,21 @@ def test_report_sorted_by_descending_length():
     _, found = _pipeline(net)
     rows = chain_report(net, found)
     assert [r["length"] for r in rows] == [6, 4, 2]
+
+
+def test_chains_match_walk_oracle():
+    forks = 0
+    for seed in range(20):
+        rng = random.Random(4000 + seed)
+        net = build_net(random_spend_tree(rng, n_tx=rng.randint(1, 150)))
+        sets, found = _pipeline(net)
+        chain_tx, starts, expected = walk_chains(net.pre.toarray(), net.post.toarray())
+        assert sets.transactions_d == chain_tx
+        assert sets.starts_d == starts
+        assert [(c.links, c.bypassed) for c in found] == [(l, b) for l, b, _ in expected]
+        rows = chain_report(net, found)
+        assert [r["addresses"] for r in rows] == [
+            [net.address_of(p) for p in path] for _, _, path in expected
+        ]
+        forks += sum(len(c.bypassed) for c in found)
+    assert forks > 0  # the seeded trees do exercise the smaller-id rule

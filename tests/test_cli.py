@@ -8,7 +8,7 @@ import os
 import pytest
 
 from chainpetri import encode_block, load_snapshot
-from chainpetri.cli import main, max_threads
+from chainpetri.cli import main
 from conftest import SAMPLE_TXS
 
 
@@ -109,6 +109,17 @@ def test_build_invalid_block_names_file(tmp_path, capsys):
     out = tmp_path / "net.json"
     assert main(["build", str(directory), "--out", str(out)]) == 2
     assert "block_0.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("inputs", 5), ("out", 5)])
+def test_build_rawblock_non_array_field_names_file(tmp_path, capsys, field, value):
+    tx = {"hash": "h1", "inputs": [{}], "out": [{"addr": "A"}], field: value}
+    bad = tmp_path / "raw.json"
+    bad.write_text(json.dumps({"height": 0, "tx": [tx]}))
+    out = tmp_path / "net.json"
+    assert main(["build", str(bad), "--format", "rawblock", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "raw.json" in err and "'h1'" in err and field in err
 
 
 def test_build_missing_input_path(tmp_path, capsys):
@@ -249,6 +260,19 @@ def test_corrupt_snapshot_exit_4(tmp_path, capsys):
     assert main(["stats", str(bad), "--out", str(tmp_path / "out")]) == 4
 
 
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda d: d["post"][0].__setitem__(2, True), lambda d: d["transitions"].append("t8")],
+    ids=["bool_arc", "empty_post_column"],
+)
+def test_top_on_invalid_snapshot_exit_4(snapshot, capsys, mutate):
+    doc = json.loads(snapshot.read_text())
+    mutate(doc)
+    snapshot.write_text(json.dumps(doc))
+    assert main(["top", str(snapshot)]) == 4
+    assert "post" in capsys.readouterr().err
+
+
 def test_no_timestamp_byte_identical(tmp_path, block_dir):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -260,13 +284,3 @@ def test_no_timestamp_byte_identical(tmp_path, block_dir):
     report_b = (tmp_path / "b.json.report.json").read_bytes()
     assert report_a == report_b
     assert b"generated_at" not in report_a
-
-
-def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("CHAINPETRI_THREADS", "2")
-    assert max_threads() == 2
-    monkeypatch.setenv("CHAINPETRI_THREADS", "zero")
-    assert max_threads() >= 1
-    assert "CHAINPETRI_THREADS" in capsys.readouterr().err
-    monkeypatch.delenv("CHAINPETRI_THREADS")
-    assert max_threads() >= 1

@@ -69,10 +69,7 @@ def test_entity_net_rejected_as_input(sample_net):
     entity_net = build_entity_net(sample_net, compute_entities(sample_net)).net
     with pytest.raises(ValueError):
         compute_entities(entity_net)
-    singleton = EntityPartition(
-        [[p] for p in range(entity_net.num_places)],
-        np.arange(entity_net.num_places),
-    )
+    singleton = EntityPartition(np.arange(entity_net.num_places))
     with pytest.raises(ValueError):
         build_entity_net(entity_net, singleton)
 
@@ -84,10 +81,25 @@ def test_determinism(sample_net):
     assert np.array_equal(first.place_to_entity, second.place_to_entity)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_matches_component_oracle(seed):
+def _seeded_transactions(seed):
     rng = random.Random(seed)
-    txs = random_transactions(rng, n_tx=rng.randint(0, 40), pool_size=rng.randint(1, 30))
+    return random_transactions(rng, n_tx=rng.randint(0, 40), pool_size=rng.randint(1, 30))
+
+
+# A co-input path over places 0..15 whose ids zigzag so that each hooking
+# round only merges neighbouring roots: the path needs four rounds.
+ZIGZAG = [0, 15, 7, 14, 3, 13, 6, 12, 1, 11, 5, 10, 2, 9, 4, 8]
+ZIGZAG_TXS = [("fund", [], [f"p{i}" for i in range(16)])] + [
+    (f"z{j}", [f"p{a}", f"p{b}"], ["sink"]) for j, (a, b) in enumerate(zip(ZIGZAG, ZIGZAG[1:]))
+]
+
+
+@pytest.mark.parametrize(
+    "txs",
+    [pytest.param(_seeded_transactions(seed), id=str(seed)) for seed in range(20)]
+    + [pytest.param(ZIGZAG_TXS, id="zigzag")],
+)
+def test_matches_component_oracle(txs):
     net = build_net(txs)
     expected = coinput_components(txs, net.place_names)
     assert compute_entities(net).entities == expected
@@ -135,12 +147,12 @@ def test_entity_net_shares_transitions(sample_net):
 def test_member_map_matches_partition(sample_net):
     partition = compute_entities(sample_net)
     entity = build_entity_net(sample_net, partition)
-    assert entity.member_map == partition.entities
+    assert entity.member_map is partition.entities
 
 
 def test_all_singleton_partition_is_identity(sample_net):
     m = sample_net.num_places
-    partition = EntityPartition([[p] for p in range(m)], np.arange(m))
+    partition = EntityPartition(np.arange(m))
     entity = build_entity_net(sample_net, partition)
     assert np.array_equal(entity.net.pre.toarray(), sample_net.pre.toarray())
     assert np.array_equal(entity.net.post.toarray(), sample_net.post.toarray())
@@ -159,14 +171,12 @@ def test_column_sums_conserved(batch):
 
 def test_partition_mismatch_rejected(sample_net):
     m = sample_net.num_places
-    with pytest.raises(PartitionMismatchError):
-        build_entity_net(sample_net, EntityPartition([[0]], np.zeros(1, dtype=np.int64)))
-    missing_one = EntityPartition([[p] for p in range(m - 1)], np.arange(m))
-    with pytest.raises(PartitionMismatchError):
-        build_entity_net(sample_net, missing_one)
-    doubled = EntityPartition([[0, 0]] + [[p] for p in range(2, m)], np.arange(m))
-    with pytest.raises(PartitionMismatchError):
-        build_entity_net(sample_net, doubled)
+    wrong_length = np.zeros(m - 1, dtype=np.int64)
+    gap = np.array([0, 2, 2, 3, 3, 3])  # no entity 1
+    negative = np.array([0, -1, 1, 2, 3, 4])
+    for labels in (wrong_length, gap, negative):
+        with pytest.raises(PartitionMismatchError):
+            build_entity_net(sample_net, EntityPartition(labels))
 
 
 def test_cyclic_transitions_sample(sample_net):
@@ -175,6 +185,20 @@ def test_cyclic_transitions_sample(sample_net):
     cyclic = cyclic_transitions(entity.net)
     assert [entity.net.tx_id_of(t) for t in cyclic] == ["t5"]
     assert cyclic_transitions(sample_net) == []
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cyclic_transitions_match_dense_oracle(seed):
+    rng = random.Random(3000 + seed)
+    txs = random_transactions(rng, n_tx=rng.randint(1, 60), pool_size=rng.randint(2, 25),
+                              max_in=4)
+    net = build_net(txs)
+    entity_net = build_entity_net(net, compute_entities(net)).net
+    pre = entity_net.pre.toarray()
+    post = entity_net.post.toarray()
+    expected = np.flatnonzero(((pre > 0) & (post > 0)).any(axis=0)).tolist()
+    assert pre.max() > 1  # summed multiplicities occur
+    assert cyclic_transitions(entity_net) == expected
 
 
 def test_entity_report_ordering(sample_net):

@@ -176,11 +176,17 @@ def test_rawblock_drops_transaction_without_usable_outputs():
         {"height": 0},
         {"height": 0, "tx": 3},
         {"height": 0, "tx": [{"inputs": [], "out": [{"addr": "A"}]}]},
+        {"height": 0, "tx": [{"hash": "h", "inputs": 5, "out": [{"addr": "A"}]}]},
+        {"height": 0, "tx": [{"hash": "h", "inputs": [{}], "out": 5}]},
+        {"height": -3, "tx": []},
     ],
 )
 def test_rawblock_validation_errors(doc):
-    with pytest.raises(BlockValidationError):
+    with pytest.raises(BlockValidationError) as err:
         convert_rawblock(json.dumps(doc))
+    txs = doc.get("tx")
+    if isinstance(txs, list) and txs and "hash" in txs[0]:
+        assert err.value.tx_id == txs[0]["hash"]
 
 
 def test_rawblock_malformed_json():

@@ -333,6 +333,9 @@ def _doc_of(net):
         (lambda d: d["pre"].__setitem__(0, [0, 99, 1]), "pre"),
         (lambda d: d["post"].reverse(), "post"),
         (lambda d: d["post"].append(d["post"][-1]), "post"),
+        (lambda d: d["post"][0].__setitem__(2, True), "post"),
+        (lambda d: d["pre"][1].__setitem__(0, True), "pre"),
+        (lambda d: d["transitions"].append("t8"), "post"),
     ],
 )
 def test_snapshot_corruption_names_section(sample_net, mutate, section):
