@@ -19,17 +19,22 @@ from .errors import NetNotSealedError, PartitionMismatchError
 from .net import ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence
 
 
-@dataclass
+@dataclass(eq=False)
 class EntityPartition:
     """Disjoint place groups covering all places of the source net.
 
     `place_to_entity[p]` is the index of the entity that contains place p;
     entities are numbered by smallest member.  `entities` lists each
     entity's members ascending, in index order, and is derived from the
-    labels on first use.
+    labels on first use.  Two partitions are equal when their labels are.
     """
 
     place_to_entity: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, EntityPartition):
+            return NotImplemented
+        return np.array_equal(self.place_to_entity, other.place_to_entity)
 
     @cached_property
     def entities(self) -> list[list[int]]:
@@ -98,7 +103,7 @@ def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> Ent
     summed = []
     for incidence in (net.pre, net.post):
         coo = incidence.tocsr().tocoo()
-        summed.append(SparseIncidence.from_csr(
+        summed.append(SparseIncidence(
             sparse.coo_matrix((coo.data, (labels[coo.row], coo.col)), shape=shape)
         ))
     entity_names = [f"e{i}" for i in range(k)]

@@ -15,6 +15,7 @@ from .errors import (
     BlockOrderingError,
     BlockParseError,
     BlockValidationError,
+    DuplicateTransactionError,
 )
 from .net import PlaceTransitionNet
 
@@ -227,7 +228,10 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
                 report.rejects += 1
                 report.rejected_tx_ids.append(tx.tx_id)
                 continue
-            net.record_transaction(tx.tx_id, tx.inputs, tx.outputs)
+            try:
+                net.record_transaction(tx.tx_id, tx.inputs, tx.outputs)
+            except DuplicateTransactionError as exc:
+                raise DuplicateTransactionError(f"block {block.height}: {exc}") from exc
 
     net.seal()
     report.transactions = net.num_transitions

@@ -26,167 +26,96 @@ SNAPSHOT_VERSION = 1
 
 ADDRESS_LEVEL = "address"
 ENTITY_LEVEL = "entity"
+SIDES = ("pre", "post")
 
 
 class SparseIncidence:
-    """Sparse nonnegative-integer matrix with row and column iteration.
+    """Immutable sparse positive-integer matrix with row and column iteration.
 
-    Columns are appended in order during construction (values implicitly 1);
-    sealing builds compressed column and row forms so that both scan
+    Holds compressed row and column forms of one matrix, so that both scan
     directions are O(entries touched).  Zero entries are never stored.
     """
 
-    def __init__(self):
-        # Build phase is column-major append-only: _indices holds row ids,
-        # _indptr the per-column offsets, _row_counts the running row nnz.
-        self._indices: array | None = array("q")
-        self._indptr: array | None = array("q", [0])
-        self._row_counts: array | None = array("q")
-        self._csr = None
-        self._csc = None
-        self._row_nnz_arr: np.ndarray | None = None
-
-    # -- construction ------------------------------------------------------
-
-    def add_row(self):
-        self._row_counts.append(0)
-
-    def append_column(self, rows):
-        """Append one column; `rows` must be strictly increasing row ids."""
-        self._indices.extend(rows)
-        self._indptr.append(len(self._indices))
-        counts = self._row_counts
-        for r in rows:
-            counts[r] += 1
-
-    def seal(self, num_rows: int):
-        if self._csc is not None:
-            return
-        indices = np.asarray(self._indices, dtype=np.int64)
-        indptr = np.asarray(self._indptr, dtype=np.int64)
-        data = np.ones(len(indices), dtype=np.int64)
-        csc = sparse.csc_matrix(
-            (data, indices, indptr), shape=(num_rows, len(indptr) - 1)
-        )
-        self._install(csc.tocsr(), csc)
-
-    @classmethod
-    def from_csr(cls, matrix) -> "SparseIncidence":
-        """Wrap an existing sparse matrix (sealed immediately).
-
-        Entries must be positive integers; zeros are pruned.
-        """
+    def __init__(self, matrix):
+        """Wrap a copy of a scipy sparse matrix; zeros are pruned and any
+        other entry must be positive."""
         csr = sparse.csr_matrix(matrix, dtype=np.int64, copy=True)
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
         if csr.nnz and csr.data.min() < 1:
             raise ValueError("incidence entries must be positive")
-        inc = cls()
-        inc._install(csr, csr.tocsc())
-        return inc
-
-    def _install(self, csr, csc):
         self._csr = csr
-        self._csc = csc
-        self._row_nnz_arr = np.diff(csr.indptr)
-        self._row_nnz_arr.flags.writeable = False
-        self._indices = self._indptr = self._row_counts = None
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def sealed(self) -> bool:
-        return self._csc is not None
+        self._csc = csr.tocsc()
+        self._row_nnz = np.diff(csr.indptr)
+        self._row_nnz.flags.writeable = False
 
     @property
     def num_rows(self) -> int:
-        if self.sealed:
-            return self._csr.shape[0]
-        return len(self._row_counts)
+        return self._csr.shape[0]
 
     @property
     def num_cols(self) -> int:
-        if self.sealed:
-            return self._csr.shape[1]
-        return len(self._indptr) - 1
+        return self._csr.shape[1]
 
     @property
     def nnz(self) -> int:
-        if self.sealed:
-            return int(self._csr.nnz)
-        return len(self._indices)
+        return int(self._csr.nnz)
 
     def row_nnz(self, row: int) -> int:
-        if not 0 <= row < self.num_rows:
-            raise IndexError(f"row {row} out of range (0..{self.num_rows - 1})")
-        if self.sealed:
-            return int(self._row_nnz_arr[row])
-        return self._row_counts[row]
+        _check_index(row, self.num_rows, "row")
+        return int(self._row_nnz[row])
 
     def row_nnz_all(self) -> np.ndarray:
-        """Per-row entry counts as one array (sealed nets only)."""
-        self._require_sealed()
-        return self._row_nnz_arr
+        """Per-row entry counts as one read-only array."""
+        return self._row_nnz
 
     def column_entries(self, col: int) -> tuple[np.ndarray, np.ndarray]:
         """Row ids and values stored in one column."""
-        if not 0 <= col < self.num_cols:
-            raise IndexError(f"column {col} out of range (0..{self.num_cols - 1})")
-        if self.sealed:
-            csc = self._csc
-            lo, hi = csc.indptr[col], csc.indptr[col + 1]
-            return csc.indices[lo:hi], csc.data[lo:hi]
-        lo, hi = self._indptr[col], self._indptr[col + 1]
-        rows = np.asarray(self._indices[lo:hi], dtype=np.int64)
-        return rows, np.ones(len(rows), dtype=np.int64)
+        _check_index(col, self.num_cols, "column")
+        csc = self._csc
+        lo, hi = csc.indptr[col], csc.indptr[col + 1]
+        return csc.indices[lo:hi], csc.data[lo:hi]
 
     def row_entries(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column ids and values stored in one row (sealed nets only)."""
-        self._require_sealed()
-        if not 0 <= row < self.num_rows:
-            raise IndexError(f"row {row} out of range (0..{self.num_rows - 1})")
+        """Column ids and values stored in one row."""
+        _check_index(row, self.num_rows, "row")
         csr = self._csr
         lo, hi = csr.indptr[row], csr.indptr[row + 1]
         return csr.indices[lo:hi], csr.data[lo:hi]
 
     def col_nnz_all(self) -> np.ndarray:
-        """Per-column entry counts as one array (sealed nets only)."""
-        self._require_sealed()
+        """Per-column entry counts as one array."""
         return np.diff(self._csc.indptr)
 
     def entry_columns(self) -> np.ndarray:
-        """Column id of every entry in compressed-column order (sealed nets only)."""
+        """Column id of every entry in compressed-column order."""
         return np.repeat(np.arange(self.num_cols), self.col_nnz_all())
 
     def tocsr(self):
-        self._require_sealed()
         return self._csr
 
     def tocsc(self):
-        self._require_sealed()
         return self._csc
 
     def toarray(self) -> np.ndarray:
-        if self.sealed:
-            return self._csr.toarray()
-        dense = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
-        for col in range(self.num_cols):
-            lo, hi = self._indptr[col], self._indptr[col + 1]
-            for r in self._indices[lo:hi]:
-                dense[r, col] = 1
-        return dense
+        return self._csr.toarray()
 
     def triplets(self) -> list[list[int]]:
         """All entries as [row, col, value] sorted by row then col."""
-        self._require_sealed()
         csr = self._csr
         rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr))
         return np.column_stack([rows, csr.indices, csr.data]).tolist()
 
-    def _require_sealed(self):
-        if not self.sealed:
-            raise NetNotSealedError("operation requires a sealed incidence structure")
+
+def _check_index(index: int, size: int, what: str):
+    if not 0 <= index < size:
+        raise IndexError(f"{what} {index} out of range (0..{size - 1})")
+
+
+def _check_side(side: str):
+    if side not in SIDES:
+        raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
 
 
 class PlaceTransitionNet:
@@ -204,9 +133,14 @@ class PlaceTransitionNet:
         self._place_names: list[str] = []
         self._tx_index: dict[str, int] = {}
         self._tx_names: list[str] = []
-        self.pre = SparseIncidence()
-        self.post = SparseIncidence()
-        self._sealed = False
+        # Build state, dropped by seal(): per side, the row id of every arc in
+        # column order plus the column offsets into it; per place, the running
+        # receives minus spends that strict ingest reads.
+        self._arcs: dict[str, tuple[array, array]] | None = {
+            side: (array("q"), array("q", [0])) for side in SIDES
+        }
+        self._utxo: array | None = array("q")
+        self._incidence: dict[str, SparseIncidence] = {}
 
     @classmethod
     def _assemble(cls, place_names, tx_names, pre: SparseIncidence,
@@ -217,9 +151,8 @@ class PlaceTransitionNet:
         net._place_index = {name: i for i, name in enumerate(net._place_names)}
         net._tx_names = list(tx_names)
         net._tx_index = {name: i for i, name in enumerate(net._tx_names)}
-        net.pre = pre
-        net.post = post
-        net._sealed = True
+        net._incidence = {"pre": pre, "post": post}
+        net._arcs = net._utxo = None
         return net
 
     # -- registry ----------------------------------------------------------
@@ -230,7 +163,7 @@ class PlaceTransitionNet:
 
     @property
     def sealed(self) -> bool:
-        return self._sealed
+        return self._arcs is None
 
     @property
     def num_places(self) -> int:
@@ -267,7 +200,7 @@ class PlaceTransitionNet:
 
     def intern_address(self, addr: str) -> int:
         """Return the place id for `addr`, allocating the next id if new."""
-        if self._sealed:
+        if self._arcs is None:
             raise NetSealedError("cannot intern addresses on a sealed net")
         idx = self._place_index.get(addr)
         if idx is None:
@@ -276,8 +209,7 @@ class PlaceTransitionNet:
             idx = len(self._place_names)
             self._place_index[addr] = idx
             self._place_names.append(addr)
-            self.pre.add_row()
-            self.post.add_row()
+            self._utxo.append(0)
         return idx
 
     def record_transaction(self, tx_id: str, inputs, outputs) -> int:
@@ -287,7 +219,7 @@ class PlaceTransitionNet:
         weight 1.  Empty `inputs` marks a coinbase; `outputs` must be
         non-empty.  Returns the new transition id.
         """
-        if self._sealed:
+        if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
         if not outputs:
             raise MalformedTransactionError(f"transaction {tx_id!r} has no outputs")
@@ -298,49 +230,86 @@ class PlaceTransitionNet:
         t = len(self._tx_names)
         self._tx_index[tx_id] = t
         self._tx_names.append(tx_id)
-        self.pre.append_column(self._intern_distinct(inputs))
-        self.post.append_column(self._intern_distinct(outputs))
+        self._append_column("pre", inputs, -1)
+        self._append_column("post", outputs, 1)
         return t
 
-    def _intern_distinct(self, addrs) -> list[int]:
-        ids = {self.intern_address(a) for a in addrs}
-        return sorted(ids)
+    def _append_column(self, side: str, addrs, utxo_delta: int):
+        ids = sorted({self.intern_address(a) for a in addrs})
+        rows, offsets = self._arcs[side]
+        rows.extend(ids)
+        offsets.append(len(rows))
+        utxo = self._utxo
+        for p in ids:
+            utxo[p] += utxo_delta
 
     def seal(self) -> "PlaceTransitionNet":
         """Freeze the net; all analytics require a sealed net.  Idempotent."""
-        if not self._sealed:
-            m = self.num_places
-            self.pre.seal(m)
-            self.post.seal(m)
-            self._sealed = True
+        if self._arcs is not None:
+            self._utxo = None
+            shape = (self.num_places, self.num_transitions)
+            for side in SIDES:
+                # Free each side's build arrays once its matrix holds a copy,
+                # so that they are gone before the next conversion allocates.
+                rows, offsets = self._arcs.pop(side)
+                ones = np.ones(len(rows), dtype=np.int64)
+                csc = sparse.csc_matrix(
+                    (ones, np.asarray(rows), np.asarray(offsets)), shape=shape
+                )
+                del rows, offsets, ones
+                self._incidence[side] = SparseIncidence(csc)
+            self._arcs = None
         return self
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def pre(self) -> SparseIncidence:
+        return self.incidence("pre")
+
+    @property
+    def post(self) -> SparseIncidence:
+        return self.incidence("post")
+
     def incidence(self, side: str) -> SparseIncidence:
-        if side == "pre":
-            return self.pre
-        if side == "post":
-            return self.post
-        raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
+        """One side's incidence matrix (sealed nets only)."""
+        _check_side(side)
+        if self._arcs is not None:
+            raise NetNotSealedError("incidence matrices exist only on a sealed net")
+        return self._incidence[side]
+
+    # row_nnz, column_places and utxo_count also answer during construction,
+    # from the build state, so that ingest can check inputs as it goes.
 
     def row_nnz(self, side: str, place: int) -> int:
         """Number of distinct transitions connected to `place` on `side`."""
-        return self.incidence(side).row_nnz(place)
+        if self._arcs is None:
+            return self.incidence(side).row_nnz(place)
+        _check_side(side)
+        _check_index(place, self.num_places, "row")
+        return self._arcs[side][0].count(place)
 
     def column_places(self, side: str, transition: int) -> set[int]:
         """Places with a nonzero entry in the transition's column on `side`."""
-        rows, _ = self.incidence(side).column_entries(transition)
-        return set(int(r) for r in rows)
+        if self._arcs is None:
+            rows, _ = self.incidence(side).column_entries(transition)
+            return set(rows.tolist())
+        _check_side(side)
+        _check_index(transition, self.num_transitions, "column")
+        rows, offsets = self._arcs[side]
+        return set(rows[offsets[transition]:offsets[transition + 1]])
 
     def utxo_count(self, place: int) -> int:
         """Receives minus spends under the binary model (address nets only)."""
         if self._level != ADDRESS_LEVEL:
             raise ValueError("utxo_count is defined on address-level nets only")
-        return self.post.row_nnz(place) - self.pre.row_nnz(place)
+        if self._arcs is None:
+            return self.post.row_nnz(place) - self.pre.row_nnz(place)
+        _check_index(place, self.num_places, "row")
+        return self._utxo[place]
 
     def __repr__(self):
-        state = "sealed" if self._sealed else "building"
+        state = "sealed" if self.sealed else "building"
         return (f"<PlaceTransitionNet level={self._level} places={self.num_places} "
                 f"transitions={self.num_transitions} {state}>")
 
@@ -348,7 +317,7 @@ class PlaceTransitionNet:
 
     def save_snapshot(self, destination):
         """Write the net as a single JSON document (sealed address nets only)."""
-        if not self._sealed:
+        if not self.sealed:
             raise NetNotSealedError("snapshots require a sealed net")
         if self._level != ADDRESS_LEVEL:
             raise ValueError("snapshots are defined for address-level nets only")
@@ -392,7 +361,8 @@ def load_snapshot(source) -> PlaceTransitionNet:
     extra = doc.keys() - expected
     if extra:
         raise SnapshotError(f"unexpected field(s) {sorted(extra)}", "document")
-    if doc["version"] != SNAPSHOT_VERSION:
+    # bool is an int subclass and True == 1, so compare the type exactly
+    if type(doc["version"]) is not int or doc["version"] != SNAPSHOT_VERSION:
         raise SnapshotError(
             f"unsupported version {doc['version']!r} (expected {SNAPSHOT_VERSION})",
             "version",
@@ -448,4 +418,4 @@ def _check_triplets(value, section: str, num_rows: int, num_cols: int) -> Sparse
     if len(key) > 1 and np.any(np.diff(key) <= 0):
         raise SnapshotError("triplets must be strictly sorted by row then col", section)
     csr = sparse.csr_matrix((vals, (rows, cols)), shape=(num_rows, num_cols), dtype=np.int64)
-    return SparseIncidence.from_csr(csr)
+    return SparseIncidence(csr)

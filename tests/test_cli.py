@@ -122,6 +122,17 @@ def test_build_rawblock_non_array_field_names_file(tmp_path, capsys, field, valu
     assert "raw.json" in err and "'h1'" in err and field in err
 
 
+def test_build_duplicate_transaction_names_block(tmp_path, capsys):
+    coinbase = {"hash": "cb", "inputs": [{}], "out": [{"addr": "A"}]}
+    stream = tmp_path / "raw.ndjson"
+    stream.write_text(
+        "".join(json.dumps({"height": h, "tx": [coinbase]}) + "\n" for h in (0, 1))
+    )
+    out = tmp_path / "net.json"
+    assert main(["build", str(stream), "--format", "rawblock", "--out", str(out)]) == 2
+    assert "block 1: transaction 'cb' already recorded" in capsys.readouterr().err
+
+
 def test_build_missing_input_path(tmp_path, capsys):
     assert main(["build", str(tmp_path / "nope"), "--out", str(tmp_path / "net.json")]) == 3
 

@@ -1,0 +1,25 @@
+"""Every demo script runs to completion against the package in `src/`."""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.name
+)
+def test_demo_runs(demo, tmp_path):
+    # TMPDIR keeps the snapshot workflow demo's work directory under tmp_path
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    result = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

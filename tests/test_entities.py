@@ -81,6 +81,15 @@ def test_determinism(sample_net):
     assert np.array_equal(first.place_to_entity, second.place_to_entity)
 
 
+def test_partition_value_equality(sample_net):
+    first = compute_entities(sample_net)
+    assert first == compute_entities(sample_net)
+    assert first == EntityPartition(first.place_to_entity.copy())
+    singletons = EntityPartition(np.arange(sample_net.num_places))
+    assert first != singletons
+    assert EntityPartition(np.array([0, 1])) != EntityPartition(np.array([0, 1, 2]))
+
+
 def _seeded_transactions(seed):
     rng = random.Random(seed)
     return random_transactions(rng, n_tx=rng.randint(0, 40), pool_size=rng.randint(1, 30))

@@ -336,6 +336,7 @@ def _doc_of(net):
         (lambda d: d["post"][0].__setitem__(2, True), "post"),
         (lambda d: d["pre"][1].__setitem__(0, True), "pre"),
         (lambda d: d["transitions"].append("t8"), "post"),
+        pytest.param(lambda d: d.update(version=True), "version", id="version-true"),
     ],
 )
 def test_snapshot_corruption_names_section(sample_net, mutate, section):
