@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NetNotSealedError
 from .net import PlaceTransitionNet
 
 SIDES = ("pre", "post", "both")
@@ -65,14 +64,8 @@ class SummaryReport:
         }
 
 
-def _require_sealed(net: PlaceTransitionNet):
-    if not net.sealed:
-        raise NetNotSealedError("analytics require a sealed net")
-
-
 def degree_multiset(net: PlaceTransitionNet, side: str) -> DegreeMultiset:
     """Number of connected transitions per place on `side`."""
-    _require_sealed(net)
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if side == "both":
@@ -121,7 +114,6 @@ def ccdf_to_csv(series: CcdfSeries, destination):
 
 def top_k_active(net: PlaceTransitionNet, k: int) -> list[tuple[int, int, int]]:
     """Places ranked by pre_nnz + post_nnz descending, ties by place id."""
-    _require_sealed(net)
     if k < 1:
         raise ValueError("k must be >= 1")
     pre = net.pre.row_nnz_all()
@@ -133,7 +125,6 @@ def top_k_active(net: PlaceTransitionNet, k: int) -> list[tuple[int, int, int]]:
 
 def accumulate_only(net: PlaceTransitionNet) -> set[int]:
     """Places that receive but never spend: empty pre row, non-empty post row."""
-    _require_sealed(net)
     mask = (net.pre.row_nnz_all() == 0) & (net.post.row_nnz_all() > 0)
     return set(np.nonzero(mask)[0].tolist())
 
@@ -145,7 +136,6 @@ def repeated_groups(net: PlaceTransitionNet) -> RepeatGroups:
     only transitions that repeat with the same multiplicities.  Singleton
     groups are omitted.
     """
-    _require_sealed(net)
     pre = net.pre.tocsc()
     post = net.post.tocsc()
     pre_ptr, pre_idx, pre_val = pre.indptr, pre.indices, pre.data
@@ -188,7 +178,6 @@ def repeat_report(net: PlaceTransitionNet, repeats: RepeatGroups) -> dict:
 
 def summary(net: PlaceTransitionNet) -> SummaryReport:
     """Headline counts for a sealed net."""
-    _require_sealed(net)
     pre_rows = net.pre.row_nnz_all()
     post_rows = net.post.row_nnz_all()
     return SummaryReport(

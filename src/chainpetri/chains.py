@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChainIntegrityError, NetNotSealedError
+from .errors import ChainIntegrityError
 from .net import PlaceTransitionNet
 
 
@@ -44,8 +44,6 @@ class Chain:
 
 def disposable_addresses(net: PlaceTransitionNet) -> set[int]:
     """Places with exactly one pre-arc and exactly one post-arc."""
-    if not net.sealed:
-        raise NetNotSealedError("disposable_addresses requires a sealed net")
     mask = (net.pre.row_nnz_all() == 1) & (net.post.row_nnz_all() == 1)
     return set(np.nonzero(mask)[0].tolist())
 
@@ -57,8 +55,6 @@ def disposable_transactions(net: PlaceTransitionNet, addresses_d: set[int]) -> D
     outputs, at least one disposable.  A start is a chain transaction whose
     funding transaction is not itself a chain transaction.
     """
-    if not net.sealed:
-        raise NetNotSealedError("disposable_transactions requires a sealed net")
     disposable = _mask(net.num_places, list(addresses_d))
     pre = net.pre.tocsc()
     post = net.post.tocsc()
@@ -86,8 +82,6 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
     ties by first link id.  Raises ChainIntegrityError if successors
     revisit a transaction, which cannot happen on temporally valid input.
     """
-    if not net.sealed:
-        raise NetNotSealedError("build_chains requires a sealed net")
     disposable = _mask(net.num_places, list(sets.addresses_d))
     in_chain = _mask(net.num_transitions, list(sets.transactions_d))
     post = net.post.tocsc()

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .errors import NetNotSealedError, PartitionMismatchError
+from .errors import PartitionMismatchError
 from .net import ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence
 
 
@@ -59,13 +58,11 @@ class EntityNet:
 
 def compute_entities(net: PlaceTransitionNet) -> EntityPartition:
     """Partition places into entities: components of the co-input graph."""
-    if not net.sealed:
-        raise NetNotSealedError("compute_entities requires a sealed net")
+    csc = net.pre.tocsc()
     if net.level != ADDRESS_LEVEL:
         raise ValueError("compute_entities runs on address-level nets")
 
     # Star edges join each transaction's first input to its other inputs.
-    csc = net.pre.tocsc()
     first = csc.indices[csc.indptr[net.pre.entry_columns()]]
     star = first != csc.indices
     u, v = first[star], csc.indices[star]
@@ -92,20 +89,17 @@ def compute_entities(net: PlaceTransitionNet) -> EntityPartition:
 
 def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> EntityNet:
     """Sum member rows of the partition into entity-level pre/post matrices."""
-    if not net.sealed:
-        raise NetNotSealedError("build_entity_net requires a sealed net")
+    sides = (net.pre, net.post)
     if net.level != ADDRESS_LEVEL:
         raise ValueError("build_entity_net runs on address-level nets")
     k = _check_partition(partition, net.num_places)
 
     labels = partition.place_to_entity
-    shape = (k, net.num_transitions)
-    summed = []
-    for incidence in (net.pre, net.post):
-        coo = incidence.tocsr().tocoo()
-        summed.append(SparseIncidence(
-            sparse.coo_matrix((coo.data, (labels[coo.row], coo.col)), shape=shape)
-        ))
+    summed = [
+        SparseIncidence(labels[side.tocsc().indices], side.entry_columns(),
+                        side.tocsc().data, (k, net.num_transitions))
+        for side in sides
+    ]
     entity_names = [f"e{i}" for i in range(k)]
     entity_net = PlaceTransitionNet._assemble(
         entity_names, net.transaction_ids, *summed, ENTITY_LEVEL
@@ -132,12 +126,15 @@ def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
     """Transitions with some place on both sides (inputs and outputs).
 
     At the entity level these mark owners moving funds between their own
-    addresses.
+    addresses.  An entry's key `col * places + row` is sorted in
+    compressed-column order, so matching keys find the shared entries.
     """
-    if not net.sealed:
-        raise NetNotSealedError("cyclic_transitions requires a sealed net")
-    both = net.pre.tocsc().multiply(net.post.tocsc()).tocsc()
-    return np.flatnonzero(np.diff(both.indptr)).tolist()
+    pre_cols = net.pre.entry_columns()
+    pre_keys = pre_cols * net.num_places + net.pre.tocsc().indices
+    post_keys = net.post.entry_columns() * net.num_places + net.post.tocsc().indices
+    found = np.searchsorted(post_keys, pre_keys)
+    shared = post_keys.take(found, mode="clip") == pre_keys
+    return np.flatnonzero(np.bincount(pre_cols[shared], minlength=net.num_transitions)).tolist()
 
 
 def entity_report(partition: EntityPartition, net: PlaceTransitionNet) -> list[dict]:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import os
 from array import array
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DuplicateTransactionError,
@@ -29,6 +29,15 @@ ENTITY_LEVEL = "entity"
 SIDES = ("pre", "post")
 
 
+class Compressed(NamedTuple):
+    """One compressed form: line i holds `indices[indptr[i]:indptr[i + 1]]`
+    (ascending) with values `data[indptr[i]:indptr[i + 1]]`."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
 class SparseIncidence:
     """Immutable sparse positive-integer matrix with row and column iteration.
 
@@ -36,31 +45,33 @@ class SparseIncidence:
     directions are O(entries touched).  Zero entries are never stored.
     """
 
-    def __init__(self, matrix):
-        """Wrap a copy of a scipy sparse matrix; zeros are pruned and any
-        other entry must be positive."""
-        csr = sparse.csr_matrix(matrix, dtype=np.int64, copy=True)
-        csr.sum_duplicates()
-        csr.eliminate_zeros()
-        csr.sort_indices()
-        if csr.nnz and csr.data.min() < 1:
+    def __init__(self, rows, cols, values, shape: tuple[int, int]):
+        """Build from (row, col, value) entries.  Duplicate positions are
+        summed, zero sums are dropped and any other sum must be positive."""
+        self.num_rows, self.num_cols = shape
+        key = np.asarray(rows, dtype=np.int64) * self.num_cols + np.asarray(cols, dtype=np.int64)
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        data = np.add.reduceat(np.asarray(values, dtype=np.int64)[order], starts)
+        del order
+        nonzero = data != 0
+        key, data = key[starts[nonzero]], data[nonzero]
+        if len(data) and data.min() < 1:
             raise ValueError("incidence entries must be positive")
-        self._csr = csr
-        self._csc = csr.tocsc()
-        self._row_nnz = np.diff(csr.indptr)
+        rows, cols = np.divmod(key, max(self.num_cols, 1))
+        del key
+        self._row_nnz = np.bincount(rows, minlength=self.num_rows)
         self._row_nnz.flags.writeable = False
-
-    @property
-    def num_rows(self) -> int:
-        return self._csr.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self._csr.shape[1]
+        self._csr = Compressed(_offsets(self._row_nnz), cols, data)
+        order = np.argsort(cols * self.num_rows + rows)  # unique keys: column-major order
+        self._csc = Compressed(
+            _offsets(np.bincount(cols, minlength=self.num_cols)), rows[order], data[order]
+        )
 
     @property
     def nnz(self) -> int:
-        return int(self._csr.nnz)
+        return len(self._csr.data)
 
     def row_nnz(self, row: int) -> int:
         _check_index(row, self.num_rows, "row")
@@ -92,20 +103,27 @@ class SparseIncidence:
         """Column id of every entry in compressed-column order."""
         return np.repeat(np.arange(self.num_cols), self.col_nnz_all())
 
-    def tocsr(self):
+    def tocsr(self) -> Compressed:
         return self._csr
 
-    def tocsc(self):
+    def tocsc(self) -> Compressed:
         return self._csc
 
     def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
+        dense = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
+        dense[self._entry_rows(), self._csr.indices] = self._csr.data
+        return dense
 
     def triplets(self) -> list[list[int]]:
         """All entries as [row, col, value] sorted by row then col."""
-        csr = self._csr
-        rows = np.repeat(np.arange(csr.shape[0], dtype=np.int64), np.diff(csr.indptr))
-        return np.column_stack([rows, csr.indices, csr.data]).tolist()
+        return np.column_stack([self._entry_rows(), self._csr.indices, self._csr.data]).tolist()
+
+    def _entry_rows(self) -> np.ndarray:
+        return np.repeat(np.arange(self.num_rows), self._row_nnz)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts)])
 
 
 def _check_index(index: int, size: int, what: str):
@@ -227,6 +245,8 @@ class PlaceTransitionNet:
             raise MalformedTransactionError("transaction id must be non-empty")
         if tx_id in self._tx_index:
             raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
+        if not all(inputs) or not all(outputs):
+            raise ValueError("address must be a non-empty string")
         t = len(self._tx_names)
         self._tx_index[tx_id] = t
         self._tx_names.append(tx_id)
@@ -252,12 +272,11 @@ class PlaceTransitionNet:
                 # Free each side's build arrays once its matrix holds a copy,
                 # so that they are gone before the next conversion allocates.
                 rows, offsets = self._arcs.pop(side)
-                ones = np.ones(len(rows), dtype=np.int64)
-                csc = sparse.csc_matrix(
-                    (ones, np.asarray(rows), np.asarray(offsets)), shape=shape
+                cols = np.repeat(np.arange(shape[1]), np.diff(offsets))
+                del offsets
+                self._incidence[side] = SparseIncidence(
+                    rows, cols, np.ones(len(rows), dtype=np.int64), shape
                 )
-                del rows, offsets, ones
-                self._incidence[side] = SparseIncidence(csc)
             self._arcs = None
         return self
 
@@ -417,5 +436,4 @@ def _check_triplets(value, section: str, num_rows: int, num_cols: int) -> Sparse
     key = rows * max(num_cols, 1) + cols
     if len(key) > 1 and np.any(np.diff(key) <= 0):
         raise SnapshotError("triplets must be strictly sorted by row then col", section)
-    csr = sparse.csr_matrix((vals, (rows, cols)), shape=(num_rows, num_cols), dtype=np.int64)
-    return SparseIncidence(csr)
+    return SparseIncidence(rows, cols, vals, (num_rows, num_cols))

@@ -4,20 +4,30 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from chainpetri import (
     ChainIntegrityError,
     DisposableSets,
+    EntityPartition,
     GeneratorConfig,
     NetNotSealedError,
     PlaceTransitionNet,
+    accumulate_only,
     build_chains,
+    build_entity_net,
     chain_report,
+    compute_entities,
+    cyclic_transitions,
+    degree_multiset,
     disposable_addresses,
     disposable_transactions,
     generate_synthetic,
     ingest,
+    repeated_groups,
+    summary,
+    top_k_active,
 )
 from conftest import SAMPLE_TXS
 from helpers import build_net, random_spend_tree, walk_chains
@@ -47,10 +57,28 @@ def test_empty_net():
     assert build_chains(net, sets) == []
 
 
-def test_requires_sealed():
+# every analysis of a sealed net; the sealed rule is enforced by the net alone
+SEALED_ONLY = {
+    "disposable_addresses": disposable_addresses,
+    "disposable_transactions": lambda net: disposable_transactions(net, set()),
+    "build_chains": lambda net: build_chains(net, DisposableSets(set(), set(), set())),
+    "compute_entities": compute_entities,
+    # a partition of the wrong size: the sealed check must come first
+    "build_entity_net": lambda net: build_entity_net(net, EntityPartition(np.zeros(0, int))),
+    "cyclic_transitions": cyclic_transitions,
+    "degree_multiset": lambda net: degree_multiset(net, "both"),
+    "top_k_active": lambda net: top_k_active(net, 1),
+    "accumulate_only": accumulate_only,
+    "repeated_groups": repeated_groups,
+    "summary": summary,
+}
+
+
+@pytest.mark.parametrize("analysis", SEALED_ONLY.values(), ids=SEALED_ONLY.keys())
+def test_requires_sealed(analysis):
     net = build_net(SAMPLE_TXS, seal=False)
     with pytest.raises(NetNotSealedError):
-        disposable_addresses(net)
+        analysis(net)
 
 
 def test_planted_chain_addresses_found():

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -295,3 +298,12 @@ def test_no_timestamp_byte_identical(tmp_path, block_dir):
     report_b = (tmp_path / "b.json.report.json").read_bytes()
     assert report_a == report_b
     assert b"generated_at" not in report_a
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy would cost every CLI process about 0.3 s and 20 MB
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, chainpetri.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert result.stdout.strip() == "[]"

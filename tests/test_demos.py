@@ -23,3 +23,4 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("chainpetri-demo-*")), "demo left its work directory"

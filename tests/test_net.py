@@ -19,6 +19,7 @@ from chainpetri import (
     NetSealedError,
     PlaceTransitionNet,
     SnapshotError,
+    SparseIncidence,
     generate_synthetic,
     ingest,
     load_snapshot,
@@ -104,6 +105,20 @@ def test_duplicate_tx_id_rejected():
         net.record_transaction("x", [], ["B"])
 
 
+def test_rejected_address_leaves_net_unchanged():
+    net = PlaceTransitionNet()
+    net.record_transaction("c", [], ["A"])
+    for inputs, outputs in ((["A"], [""]), (["B", ""], ["C"])):
+        with pytest.raises(ValueError):
+            net.record_transaction("x", inputs, outputs)
+        assert net.place_names == ["A"]
+        assert net.transaction_ids == ["c"]
+    net.record_transaction("x", ["A"], ["B"])
+    net.seal()
+    assert net.pre.toarray().tolist() == [[0, 1], [0, 0]]
+    assert net.post.toarray().tolist() == [[1, 0], [0, 1]]
+
+
 def test_record_after_seal_fails():
     net = build_net([("x", [], ["A"])])
     with pytest.raises(NetSealedError):
@@ -115,6 +130,53 @@ def test_same_address_on_both_sides():
     a = net.place_of("A")
     assert net.row_nnz("pre", a) == 1
     assert net.row_nnz("post", a) == 2
+
+
+# -- sparse incidence construction ---------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_incidence_matches_dense_oracle(seed):
+    rng = np.random.default_rng(seed)
+    shape = [(0, 0), (0, 4), (5, 0), (1, 1), (6, 9), (40, 25)][seed % 6]
+    rows, cols, values = [], [], []
+    if shape[0] and shape[1]:
+        n = int(rng.integers(0, 3 * shape[0] * shape[1] + 1))
+        rows += rng.integers(0, shape[0], n).tolist()  # positions repeat
+        cols += rng.integers(0, shape[1], n).tolist()
+        values += rng.integers(1, 4, n).tolist()
+        for r, c, v in zip(rng.integers(0, shape[0], 5), rng.integers(0, shape[1], 5),
+                           rng.integers(1, 4, 5)):
+            rows += [r, r]  # a pair that cancels unless the position repeats
+            cols += [c, c]
+            values += [v, -v]
+    order = rng.permutation(len(rows))
+    rows, cols, values = (np.array(a, dtype=np.int64)[order] for a in (rows, cols, values))
+    oracle = np.zeros(shape, dtype=np.int64)
+    np.add.at(oracle, (rows, cols), values)
+
+    inc = SparseIncidence(rows, cols, values, shape)
+    assert np.array_equal(inc.toarray(), oracle)
+    r, c = np.nonzero(oracle)
+    assert inc.triplets() == np.column_stack([r, c, oracle[r, c]]).tolist()
+    assert inc.nnz == len(r)
+    assert np.array_equal(inc.row_nnz_all(), np.count_nonzero(oracle, axis=1))
+    assert np.array_equal(inc.col_nnz_all(), np.count_nonzero(oracle, axis=0))
+    for form, dense in ((inc.tocsr(), oracle), (inc.tocsc(), oracle.T)):
+        assert form.indptr[0] == 0 and form.indptr[-1] == len(r)
+        for line in range(dense.shape[0]):
+            lo, hi = form.indptr[line], form.indptr[line + 1]
+            assert np.all(np.diff(form.indices[lo:hi]) > 0)
+            assert np.array_equal(form.indices[lo:hi], np.flatnonzero(dense[line]))
+            assert np.array_equal(form.data[lo:hi], dense[line][form.indices[lo:hi]])
+
+
+def test_incidence_zero_and_negative_sums():
+    inc = SparseIncidence([0, 1, 0], [1, 0, 1], [2, 1, -2], (2, 2))
+    assert inc.triplets() == [[1, 0, 1]]
+    assert inc.row_entries(0)[0].tolist() == [] and inc.column_entries(1)[0].tolist() == []
+    with pytest.raises(ValueError, match="must be positive"):
+        SparseIncidence([0, 0, 1], [1, 1, 0], [1, -2, 1], (2, 2))
 
 
 # -- row/column queries --------------------------------------------------------
