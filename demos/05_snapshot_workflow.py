@@ -1,7 +1,8 @@
 """The batch workflow: parse blocks once, snapshot, analyze many times.
 
 Building the net dominates the cost at scale, so the command-line flow is
-snapshot-centric: `build` writes a JSON snapshot, every other command
+snapshot-centric: `build` writes a binary snapshot (numpy arrays: the two
+name registries and each side's compressed columns), every other command
 loads it.  This script drives the same workflow through the CLI entry
 point against a generated block directory.
 """
@@ -53,5 +54,5 @@ with tempfile.TemporaryDirectory(prefix="chainpetri-demo-") as tmp:
 
     summary = json.loads((workdir / "reports" / "summary.json").read_text())
     print(f"addresses: {summary['places']}, transactions: {summary['transitions']}")
-    print("\nsnapshot + reports are plain JSON/CSV; rerun any analysis without")
-    print("touching the block files again")
+    print("\nthe snapshot is binary (numpy arrays), the reports plain JSON/CSV;")
+    print("rerun any analysis without touching the block files again")

@@ -242,8 +242,7 @@ def _cmd_repeats(args) -> int:
 
 def _cmd_synth(args) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(_read_text(args.config))
     except json.JSONDecodeError as exc:
         raise _Fail(2, f"{args.config}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -274,15 +273,20 @@ def _collect_block_texts(inputs) -> list[tuple[str, str]]:
                 if match:
                     files.append((int(match.group(1)), name))
             for _, name in sorted(files):
-                with open(name, "r", encoding="utf-8") as fh:
-                    texts.append((name, fh.read()))
+                texts.append((name, _read_text(name)))
         elif os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                content = fh.read()
-            texts.extend(_split_stream(path, content))
+            texts.extend(_split_stream(path, _read_text(path)))
         else:
             raise _Fail(3, f"input path does not exist: {path}")
     return texts
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise _Fail(2, f"{path}: not valid UTF-8 at byte {exc.start}") from exc
 
 
 def _split_stream(origin: str, content: str) -> list[tuple[str, str]]:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PartitionMismatchError
-from .net import ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence
+from .net import ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _Registry
 
 
 @dataclass(eq=False)
@@ -100,9 +100,9 @@ def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> Ent
                         side.tocsc().data, (k, net.num_transitions))
         for side in sides
     ]
-    entity_names = [f"e{i}" for i in range(k)]
+    # the entity net shares the address net's transaction registry
     entity_net = PlaceTransitionNet._assemble(
-        entity_names, net.transaction_ids, *summed, ENTITY_LEVEL
+        _Registry([f"e{i}" for i in range(k)]), net._txs, *summed, ENTITY_LEVEL
     )
     return EntityNet(entity_net, partition)
 

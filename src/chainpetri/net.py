@@ -7,6 +7,7 @@ query is read-only and safe to share across threads.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from array import array
@@ -23,6 +24,7 @@ from .errors import (
 )
 
 SNAPSHOT_VERSION = 1
+SNAPSHOT_MAGIC = b"chainpetri-snapshot-v2\n"
 
 ADDRESS_LEVEL = "address"
 ENTITY_LEVEL = "entity"
@@ -47,27 +49,31 @@ class SparseIncidence:
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from (row, col, value) entries.  Duplicate positions are
-        summed, zero sums are dropped and any other sum must be positive."""
+        summed, zero sums are dropped and any other sum must be positive.
+        Entries already in strictly increasing column-major order, as `seal()`
+        and snapshot loads give them, skip the column-major sort and the sum."""
         self.num_rows, self.num_cols = shape
-        key = np.asarray(rows, dtype=np.int64) * self.num_cols + np.asarray(cols, dtype=np.int64)
-        order = np.argsort(key)
-        key = key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        data = np.add.reduceat(np.asarray(values, dtype=np.int64)[order], starts)
-        del order
+        rows, cols, data = (np.asarray(a, dtype=np.int64) for a in (rows, cols, values))
+        key = cols * self.num_rows + rows
+        if np.any(key[1:] <= key[:-1]):
+            order = np.argsort(key)
+            key = key[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            data = np.add.reduceat(data[order], starts)
+            cols, rows = np.divmod(key[starts], max(self.num_rows, 1))
+            del order
+        del key
         nonzero = data != 0
-        key, data = key[starts[nonzero]], data[nonzero]
+        rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
         if len(data) and data.min() < 1:
             raise ValueError("incidence entries must be positive")
-        rows, cols = np.divmod(key, max(self.num_cols, 1))
-        del key
+        self._csc = Compressed(_offsets(np.bincount(cols, minlength=self.num_cols)), rows, data)
         self._row_nnz = np.bincount(rows, minlength=self.num_rows)
         self._row_nnz.flags.writeable = False
-        self._csr = Compressed(_offsets(self._row_nnz), cols, data)
-        order = np.argsort(cols * self.num_rows + rows)  # unique keys: column-major order
-        self._csc = Compressed(
-            _offsets(np.bincount(cols, minlength=self.num_cols)), rows[order], data[order]
-        )
+        # unique row-major keys: the order of a stable sort by row, and up to
+        # 3x faster than numpy's stable sort when rows arrive unordered
+        order = np.argsort(rows * self.num_cols + cols)
+        self._csr = Compressed(_offsets(self._row_nnz), cols[order], data[order])
 
     @property
     def nnz(self) -> int:
@@ -136,6 +142,20 @@ def _check_side(side: str):
         raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
 
 
+class _Registry:
+    """Names in id order plus the name -> id dict, which a net under
+    construction keeps current and any other builds on the first lookup."""
+
+    def __init__(self, names: list[str], index: dict[str, int] | None = None):
+        self.names = names
+        self.index = index
+
+    def ids(self) -> dict[str, int]:
+        if self.index is None:
+            self.index = {name: i for i, name in enumerate(self.names)}
+        return self.index
+
+
 class PlaceTransitionNet:
     """Bipartite incidence model: places (addresses) x transitions (transactions).
 
@@ -147,10 +167,8 @@ class PlaceTransitionNet:
         if level not in (ADDRESS_LEVEL, ENTITY_LEVEL):
             raise ValueError(f"unknown net level {level!r}")
         self._level = level
-        self._place_index: dict[str, int] = {}
-        self._place_names: list[str] = []
-        self._tx_index: dict[str, int] = {}
-        self._tx_names: list[str] = []
+        self._places = _Registry([], {})
+        self._txs = _Registry([], {})
         # Build state, dropped by seal(): per side, the row id of every arc in
         # column order plus the column offsets into it; per place, the running
         # receives minus spends that strict ingest reads.
@@ -161,14 +179,11 @@ class PlaceTransitionNet:
         self._incidence: dict[str, SparseIncidence] = {}
 
     @classmethod
-    def _assemble(cls, place_names, tx_names, pre: SparseIncidence,
+    def _assemble(cls, places: _Registry, txs: _Registry, pre: SparseIncidence,
                   post: SparseIncidence, level: str) -> "PlaceTransitionNet":
-        """Build an already-sealed net from finished parts."""
+        """Build an already-sealed net from finished parts, which it keeps."""
         net = cls(level=level)
-        net._place_names = list(place_names)
-        net._place_index = {name: i for i, name in enumerate(net._place_names)}
-        net._tx_names = list(tx_names)
-        net._tx_index = {name: i for i, name in enumerate(net._tx_names)}
+        net._places, net._txs = places, txs
         net._incidence = {"pre": pre, "post": post}
         net._arcs = net._utxo = None
         return net
@@ -185,34 +200,34 @@ class PlaceTransitionNet:
 
     @property
     def num_places(self) -> int:
-        return len(self._place_names)
+        return len(self._places.names)
 
     @property
     def num_transitions(self) -> int:
-        return len(self._tx_names)
+        return len(self._txs.names)
 
     @property
     def place_names(self) -> list[str]:
-        return self._place_names
+        return self._places.names
 
     @property
     def transaction_ids(self) -> list[str]:
-        return self._tx_names
+        return self._txs.names
 
     def address_of(self, place: int) -> str:
-        return self._place_names[place]
+        return self._places.names[place]
 
     def place_of(self, addr: str) -> int:
-        return self._place_index[addr]
+        return self._places.ids()[addr]
 
     def lookup_place(self, addr: str) -> int | None:
-        return self._place_index.get(addr)
+        return self._places.ids().get(addr)
 
     def tx_id_of(self, transition: int) -> str:
-        return self._tx_names[transition]
+        return self._txs.names[transition]
 
     def transition_of(self, tx_id: str) -> int:
-        return self._tx_index[tx_id]
+        return self._txs.ids()[tx_id]
 
     # -- construction ------------------------------------------------------
 
@@ -220,13 +235,14 @@ class PlaceTransitionNet:
         """Return the place id for `addr`, allocating the next id if new."""
         if self._arcs is None:
             raise NetSealedError("cannot intern addresses on a sealed net")
-        idx = self._place_index.get(addr)
+        places = self._places
+        idx = places.index.get(addr)
         if idx is None:
             if not addr:
                 raise ValueError("address must be a non-empty string")
-            idx = len(self._place_names)
-            self._place_index[addr] = idx
-            self._place_names.append(addr)
+            idx = len(places.names)
+            places.index[addr] = idx
+            places.names.append(addr)
             self._utxo.append(0)
         return idx
 
@@ -243,13 +259,14 @@ class PlaceTransitionNet:
             raise MalformedTransactionError(f"transaction {tx_id!r} has no outputs")
         if not tx_id:
             raise MalformedTransactionError("transaction id must be non-empty")
-        if tx_id in self._tx_index:
+        txs = self._txs
+        if tx_id in txs.index:
             raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
         if not all(inputs) or not all(outputs):
             raise ValueError("address must be a non-empty string")
-        t = len(self._tx_names)
-        self._tx_index[tx_id] = t
-        self._tx_names.append(tx_id)
+        t = len(txs.names)
+        txs.index[tx_id] = t
+        txs.names.append(tx_id)
         self._append_column("pre", inputs, -1)
         self._append_column("post", outputs, 1)
         return t
@@ -335,39 +352,82 @@ class PlaceTransitionNet:
     # -- snapshot persistence -----------------------------------------------
 
     def save_snapshot(self, destination):
-        """Write the net as a single JSON document (sealed address nets only)."""
+        """Write the net (sealed address nets only): binary v2 to a path or a
+        binary stream, JSON v1 to a text stream."""
         if not self.sealed:
             raise NetNotSealedError("snapshots require a sealed net")
         if self._level != ADDRESS_LEVEL:
             raise ValueError("snapshots are defined for address-level nets only")
-        doc = {
-            "version": SNAPSHOT_VERSION,
-            "places": self._place_names,
-            "transitions": self._tx_names,
-            "pre": self.pre.triplets(),
-            "post": self.post.triplets(),
-        }
-        if hasattr(destination, "write"):
+        if isinstance(destination, io.TextIOBase):
+            doc = {
+                "version": SNAPSHOT_VERSION,
+                "places": self._places.names,
+                "transitions": self._txs.names,
+                "pre": self.pre.triplets(),
+                "post": self.post.triplets(),
+            }
             json.dump(doc, destination, ensure_ascii=False, separators=(",", ":"))
+        elif hasattr(destination, "write"):
+            self._write_v2(destination)
         else:
             tmp = f"{destination}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, ensure_ascii=False, separators=(",", ":"))
+            with open(tmp, "wb") as fh:
+                self._write_v2(fh)
             os.replace(tmp, destination)
+
+    def _write_v2(self, fh):
+        # The magic line, then .npy records: each registry as one UTF-8 blob
+        # plus offsets, then each side's CSC indptr and indices (values are 1).
+        arrays = []
+        for names in (self._places.names, self._txs.names):
+            encoded = [name.encode("utf-8") for name in names]
+            lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+            arrays += [np.frombuffer(b"".join(encoded), dtype=np.uint8), _offsets(lengths)]
+        for side in SIDES:
+            csc = self.incidence(side).tocsc()
+            arrays += [csc.indptr, csc.indices]
+        fh.write(SNAPSHOT_MAGIC)
+        for array in arrays:
+            if array.dtype == np.int64 and array.max(initial=0) < 2**31:
+                array = array.astype(np.int32)
+            np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
 def load_snapshot(source) -> PlaceTransitionNet:
     """Load a snapshot written by `save_snapshot`; returns a sealed net.
 
-    Raises SnapshotError naming the offending section on any corruption.
+    Binary v2 is told from JSON v1 by its magic line.  Raises SnapshotError
+    naming the offending section on any corruption.
     """
     if hasattr(source, "read"):
-        text = source.read()
+        return _load(source)
+    with open(source, "rb") as fh:
+        return _load(fh)
+
+
+def _load(fh) -> PlaceTransitionNet:
+    head = fh.read(len(SNAPSHOT_MAGIC))
+    if head != SNAPSHOT_MAGIC:
+        places, txs, pre, post = _parse_v1(head + fh.read())
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        places, txs = _read_names(fh, "places"), _read_names(fh, "transitions")
+        shape = (len(places.names), len(txs.names))
+        pre, post = _read_csc(fh, "pre", shape), _read_csc(fh, "post", shape)
+        if fh.read(1):
+            raise SnapshotError("trailing data after the last array", "document")
+    no_outputs = np.flatnonzero(post.col_nnz_all() == 0)
+    if len(no_outputs):
+        raise SnapshotError(
+            f"transition {txs.names[no_outputs[0]]!r} has no post arcs", "post"
+        )
+    return PlaceTransitionNet._assemble(places, txs, pre, post, ADDRESS_LEVEL)
+
+
+def _parse_v1(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"not valid UTF-8 at byte {exc.start}", "document") from exc
     except json.JSONDecodeError as exc:
         raise SnapshotError(f"not a valid JSON document: {exc.msg}", "document") from exc
 
@@ -388,29 +448,29 @@ def load_snapshot(source) -> PlaceTransitionNet:
         )
 
     places = _check_names(doc["places"], "places")
-    transitions = _check_names(doc["transitions"], "transitions")
-    pre = _check_triplets(doc["pre"], "pre", len(places), len(transitions))
-    post = _check_triplets(doc["post"], "post", len(places), len(transitions))
-    no_outputs = np.flatnonzero(post.col_nnz_all() == 0)
-    if len(no_outputs):
-        raise SnapshotError(
-            f"transition {transitions[no_outputs[0]]!r} has no post arcs", "post"
-        )
-    return PlaceTransitionNet._assemble(places, transitions, pre, post, ADDRESS_LEVEL)
+    txs = _check_names(doc["transitions"], "transitions")
+    shape = (len(places.names), len(txs.names))
+    pre, post = (_check_triplets(doc[side], side, shape) for side in SIDES)
+    return places, txs, pre, post
 
 
-def _check_names(value, section: str) -> list[str]:
+def _check_names(value, section: str) -> _Registry:
     if not isinstance(value, list):
         raise SnapshotError("must be an array", section)
     for name in value:
         if not isinstance(name, str) or not name:
             raise SnapshotError(f"invalid entry {name!r}", section)
-    if len(set(value)) != len(value):
+    return _unique(value, section)
+
+
+def _unique(names: list[str], section: str) -> _Registry:
+    # a set costs half as much as the name -> id dict, which waits for a lookup
+    if len(set(names)) != len(names):
         raise SnapshotError("entries are not unique", section)
-    return value
+    return _Registry(names)
 
 
-def _check_triplets(value, section: str, num_rows: int, num_cols: int) -> SparseIncidence:
+def _check_triplets(value, section: str, shape: tuple[int, int]) -> SparseIncidence:
     if not isinstance(value, list):
         raise SnapshotError("must be an array of [row, col, value]", section)
     if not value:
@@ -426,14 +486,50 @@ def _check_triplets(value, section: str, num_rows: int, num_cols: int) -> Sparse
         if bool in {type(x) for entry in value for x in entry}:
             raise SnapshotError("entries must be integers, not booleans", section)
     rows, cols, vals = trip[:, 0], trip[:, 1], trip[:, 2]
-    if len(rows):
-        if rows.min() < 0 or rows.max() >= num_rows:
-            raise SnapshotError("row index out of range", section)
-        if cols.min() < 0 or cols.max() >= num_cols:
-            raise SnapshotError("column index out of range", section)
     if np.any(vals != 1):
         raise SnapshotError("address-level entries must all equal 1", section)
-    key = rows * max(num_cols, 1) + cols
-    if len(key) > 1 and np.any(np.diff(key) <= 0):
-        raise SnapshotError("triplets must be strictly sorted by row then col", section)
-    return SparseIncidence(rows, cols, vals, (num_rows, num_cols))
+    return _incidence(rows, cols, rows * max(shape[1], 1) + cols, "row then col", section, shape)
+
+
+def _incidence(rows, cols, key, order: str, section: str, shape) -> SparseIncidence:
+    """A binary matrix from entries whose `key` must rise strictly."""
+    if len(rows) and (rows.min() < 0 or rows.max() >= shape[0]):
+        raise SnapshotError("row index out of range", section)
+    if len(cols) and (cols.min() < 0 or cols.max() >= shape[1]):
+        raise SnapshotError("column index out of range", section)
+    if np.any(key[1:] <= key[:-1]):
+        raise SnapshotError(f"entries must be strictly sorted by {order}", section)
+    return SparseIncidence(rows, cols, np.ones(len(rows), dtype=np.int64), shape)
+
+
+def _read_array(fh, section: str, dtypes: tuple[str, ...]) -> np.ndarray:
+    try:
+        array = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, MemoryError) as exc:  # truncated, damaged, pickled, oversized
+        raise SnapshotError(f"unreadable array: {exc}", section) from exc
+    if array.ndim != 1 or array.dtype not in dtypes:
+        raise SnapshotError(f"unexpected {array.dtype} array of shape {array.shape}", section)
+    return array
+
+
+def _read_names(fh, section: str) -> _Registry:
+    blob = _read_array(fh, section, ("uint8",))
+    bounds = _read_array(fh, section, ("int32", "int64"))
+    if not len(bounds) or bounds[0] != 0 or bounds[-1] != len(blob) or np.any(np.diff(bounds) < 1):
+        raise SnapshotError("offsets must start at 0, rise and end at the blob size", section)
+    data, bounds = blob.tobytes(), bounds.tolist()
+    try:
+        names = [data[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
+    except UnicodeDecodeError as exc:
+        raise SnapshotError("a name is not valid UTF-8", section) from exc
+    return _unique(names, section)
+
+
+def _read_csc(fh, section: str, shape: tuple[int, int]) -> SparseIncidence:
+    indptr = _read_array(fh, section, ("int32", "int64"))
+    rows = _read_array(fh, section, ("int32", "int64"))
+    counts = np.diff(indptr)
+    if len(indptr) != shape[1] + 1 or indptr[0] != 0 or indptr[-1] != len(rows) or np.any(counts < 0):
+        raise SnapshotError("indptr must start at 0, not fall and end at nnz", section)
+    cols = np.repeat(np.arange(shape[1]), counts)
+    return _incidence(rows, cols, cols * shape[0] + rows, "column then row", section, shape)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pathlib
@@ -280,11 +281,42 @@ def test_corrupt_snapshot_exit_4(tmp_path, capsys):
     ids=["bool_arc", "empty_post_column"],
 )
 def test_top_on_invalid_snapshot_exit_4(snapshot, capsys, mutate):
-    doc = json.loads(snapshot.read_text())
+    text = io.StringIO()  # a text stream gets the JSON v1 document
+    load_snapshot(snapshot).save_snapshot(text)
+    doc = json.loads(text.getvalue())
     mutate(doc)
     snapshot.write_text(json.dumps(doc))
     assert main(["top", str(snapshot)]) == 4
     assert "post" in capsys.readouterr().err
+
+
+def test_top_on_truncated_binary_snapshot_exit_4(snapshot, capsys):
+    data = snapshot.read_bytes()
+    assert data.startswith(b"chainpetri-snapshot-v2\n")
+    snapshot.write_bytes(data[:-3])
+    assert main(["top", str(snapshot)]) == 4
+    assert "post" in capsys.readouterr().err
+
+
+def test_top_on_non_utf8_file_exit_4(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    assert main(["top", str(bad)]) == 4
+    assert "document" in capsys.readouterr().err
+
+
+def test_build_non_utf8_block_exit_2(tmp_path, block_dir, capsys):
+    (block_dir / "block_0.json").write_bytes(b'{"height": 0, "transactions": []}\xff')
+    assert main(["build", str(block_dir), "--out", str(tmp_path / "net.json")]) == 2
+    assert "block_0.json" in capsys.readouterr().err
+
+
+def test_synth_non_utf8_config_exit_2(tmp_path, capsys):
+    config = tmp_path / "gen.json"
+    config.write_bytes(b"\xff")
+    assert main(["synth", "--config", str(config), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "gen.json" in capsys.readouterr().err
 
 
 def test_no_timestamp_byte_identical(tmp_path, block_dir):

@@ -135,23 +135,29 @@ def test_same_address_on_both_sides():
 # -- sparse incidence construction ---------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("seed", range(18))
 def test_incidence_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     shape = [(0, 0), (0, 4), (5, 0), (1, 1), (6, 9), (40, 25)][seed % 6]
-    rows, cols, values = [], [], []
-    if shape[0] and shape[1]:
-        n = int(rng.integers(0, 3 * shape[0] * shape[1] + 1))
-        rows += rng.integers(0, shape[0], n).tolist()  # positions repeat
-        cols += rng.integers(0, shape[1], n).tolist()
-        values += rng.integers(1, 4, n).tolist()
-        for r, c, v in zip(rng.integers(0, shape[0], 5), rng.integers(0, shape[1], 5),
-                           rng.integers(1, 4, 5)):
-            rows += [r, r]  # a pair that cancels unless the position repeats
-            cols += [c, c]
-            values += [v, -v]
-    order = rng.permutation(len(rows))
-    rows, cols, values = (np.array(a, dtype=np.int64)[order] for a in (rows, cols, values))
+    if seed >= 12:
+        # presorted, as seal() and snapshot loads pass them: unique positions
+        # in strictly increasing column-major order, some values 0
+        cols, rows = np.nonzero(rng.random(shape[::-1]) < 0.6)
+        values = rng.integers(0, 4, len(rows))
+    else:
+        rows, cols, values = [], [], []
+        if shape[0] and shape[1]:
+            n = int(rng.integers(0, 3 * shape[0] * shape[1] + 1))
+            rows += rng.integers(0, shape[0], n).tolist()  # positions repeat
+            cols += rng.integers(0, shape[1], n).tolist()
+            values += rng.integers(1, 4, n).tolist()
+            for r, c, v in zip(rng.integers(0, shape[0], 5), rng.integers(0, shape[1], 5),
+                               rng.integers(1, 4, 5)):
+                rows += [r, r]  # a pair that cancels unless the position repeats
+                cols += [c, c]
+                values += [v, -v]
+        order = rng.permutation(len(rows))
+        rows, cols, values = (np.array(a, dtype=np.int64)[order] for a in (rows, cols, values))
     oracle = np.zeros(shape, dtype=np.int64)
     np.add.at(oracle, (rows, cols), values)
 
@@ -360,8 +366,8 @@ def test_snapshot_requires_seal():
 def test_snapshot_truncated_file(tmp_path, sample_net):
     path = tmp_path / "net.json"
     sample_net.save_snapshot(path)
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
     with pytest.raises(SnapshotError):
         load_snapshot(path)
 
@@ -369,7 +375,7 @@ def test_snapshot_truncated_file(tmp_path, sample_net):
 def test_snapshot_trailing_data(tmp_path, sample_net):
     path = tmp_path / "net.json"
     sample_net.save_snapshot(path)
-    path.write_text(path.read_text() + "{}")
+    path.write_bytes(path.read_bytes() + b"{}")
     with pytest.raises(SnapshotError):
         load_snapshot(path)
 
@@ -407,6 +413,164 @@ def test_snapshot_corruption_names_section(sample_net, mutate, section):
     with pytest.raises(SnapshotError) as err:
         load_snapshot(io.StringIO(json.dumps(doc)))
     assert err.value.section == section
+
+
+# v2 records in file order
+PLACES, PLACE_OFFSETS, TXS, TX_OFFSETS, PRE_PTR, PRE_ROWS, POST_PTR, POST_ROWS = range(8)
+
+
+def _v2_bytes(net) -> bytes:
+    buffer = io.BytesIO()
+    net.save_snapshot(buffer)
+    return buffer.getvalue()
+
+
+def _v2_split(data: bytes):
+    """The magic line and the eight arrays of a v2 snapshot."""
+    magic, rest = data.split(b"\n", 1)
+    stream = io.BytesIO(rest)
+    return magic + b"\n", [np.lib.format.read_array(stream) for _ in range(8)]
+
+
+def _v2_join(magic: bytes, records) -> bytes:
+    buffer = io.BytesIO()
+    buffer.write(magic)
+    for record in records:
+        np.lib.format.write_array(buffer, np.asanyarray(record), allow_pickle=True)
+    return buffer.getvalue()
+
+
+def _names(records, at, names):
+    encoded = [name.encode("utf-8") for name in names]
+    records[at] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    records[at + 1] = np.cumsum([0] + [len(e) for e in encoded])
+
+
+def _reverse(array, lo, hi):
+    array[lo:hi] = array[lo:hi][::-1].copy()
+
+
+@pytest.mark.parametrize(
+    "mutate, section",
+    [
+        pytest.param(lambda r: r[PLACE_OFFSETS].__setitem__(0, 1), "places", id="offsets-start"),
+        pytest.param(lambda r: r[PLACE_OFFSETS].__setitem__(2, r[PLACE_OFFSETS][1]), "places",
+                     id="offsets-not-rising"),
+        pytest.param(lambda r: r.__setitem__(PLACE_OFFSETS, r[PLACE_OFFSETS][:-1]), "places",
+                     id="offsets-end"),
+        pytest.param(lambda r: r.__setitem__(TX_OFFSETS, np.array([], dtype=np.int64)),
+                     "transitions", id="offsets-empty"),
+        pytest.param(lambda r: r[PLACES].__setitem__(0, 0xFF), "places", id="bad-utf8"),
+        pytest.param(lambda r: _names(r, PLACES, ["a1", "a2", "a3", "a4", "a5", "a1"]),
+                     "places", id="duplicate-place"),
+        pytest.param(lambda r: _names(r, TXS, ["t1"] * 7), "transitions", id="duplicate-tx"),
+        pytest.param(lambda r: r[PRE_PTR].__setitem__(0, 1), "pre", id="indptr-start"),
+        pytest.param(lambda r: r[PRE_PTR].__setitem__(2, 4), "pre", id="indptr-falls"),
+        pytest.param(lambda r: r.__setitem__(PRE_ROWS, r[PRE_ROWS][:-1]), "pre", id="indptr-end"),
+        pytest.param(lambda r: r.__setitem__(PRE_PTR, r[PRE_PTR][:-1]), "pre",
+                     id="indptr-length"),
+        pytest.param(lambda r: r[PRE_ROWS].__setitem__(0, 6), "pre", id="row-out-of-range"),
+        pytest.param(lambda r: r[PRE_ROWS].__setitem__(0, -1), "pre", id="row-negative"),
+        pytest.param(lambda r: _reverse(r[POST_ROWS], 2, 5), "post", id="rows-not-rising"),
+        pytest.param(lambda r: r[POST_ROWS].__setitem__(3, r[POST_ROWS][2]), "post",
+                     id="row-repeated"),
+        pytest.param(lambda r: (_names(r, TXS, [f"t{i}" for i in range(1, 9)]),
+                                r.__setitem__(PRE_PTR, np.append(r[PRE_PTR], 5)),
+                                r.__setitem__(POST_PTR, np.append(r[POST_PTR], 10))),
+                     "post", id="no-post-arc"),
+        pytest.param(lambda r: r.__setitem__(PRE_ROWS, r[PRE_ROWS].astype(np.float64)), "pre",
+                     id="float-rows"),
+        pytest.param(lambda r: r.__setitem__(POST_PTR, r[POST_PTR].astype(np.uint32)), "post",
+                     id="unsigned-indptr"),
+        pytest.param(lambda r: r.__setitem__(PLACES, r[PLACES].astype(np.int32)), "places",
+                     id="int-blob"),
+        pytest.param(lambda r: r.__setitem__(POST_ROWS, r[POST_ROWS].reshape(1, -1)), "post",
+                     id="two-dimensional"),
+        pytest.param(lambda r: r.__setitem__(TX_OFFSETS, np.array(list(r[TX_OFFSETS]),
+                                                                  dtype=object)),
+                     "transitions", id="pickled-object-array"),
+    ],
+)
+def test_snapshot_v2_corruption_names_section(sample_net, mutate, section):
+    magic, records = _v2_split(_v2_bytes(sample_net))
+    mutate(records)
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(io.BytesIO(_v2_join(magic, records)))
+    assert err.value.section == section
+
+
+@pytest.mark.parametrize(
+    "damage, section",
+    [
+        pytest.param(lambda b: b[:-3], "post", id="truncated-last-record"),
+        pytest.param(lambda b: b[:40], "places", id="truncated-first-record"),
+        pytest.param(lambda b: b + b"\0", "document", id="trailing-byte"),
+        pytest.param(lambda b: b.replace(b"-v2\n", b"-v9\n", 1), "document", id="bad-magic"),
+        pytest.param(lambda b: b"\xff" + b, "document", id="not-utf8-not-v2"),
+        # headers that promise far more data than the file holds; the places
+        # blob of the sample ("a1".."a6") is the only 12-element record
+        pytest.param(lambda b: b.replace(b"(12,)", b"(10000000,)", 1), "places",
+                     id="declared-length-long"),
+        pytest.param(lambda b: b.replace(b"(12,)", b"(1000000000000000,)", 1), "places",
+                     id="declared-length-huge"),
+    ],
+)
+def test_snapshot_v2_damaged_bytes(sample_net, damage, section):
+    data = _v2_bytes(sample_net)
+    assert damage(data) != data
+    with pytest.raises(SnapshotError) as err:
+        load_snapshot(io.BytesIO(damage(data)))
+    assert err.value.section == section
+
+
+def _seeded_nets():
+    yield pytest.param(PlaceTransitionNet().seal(), id="empty")
+    yield pytest.param(build_net([("tx-\u00e9", [], ["\u00e4", "\u65e5\u672c"]),
+                                ("tx-\U0001f600", ["\u00e4"], ["b\nc", "\u65e5\u672c"])]), id="unicode")
+    for seed in range(4):
+        rng = random.Random(seed)
+        config = GeneratorConfig(
+            entity_sizes=[rng.randint(2, 5)], chain_lengths=[rng.randint(1, 5), 3],
+            repeat_group_sizes=[2], fillers=rng.randint(1, 400), block_size=64,
+        )
+        blocks, _ = generate_synthetic(config, seed=seed)
+        yield pytest.param(ingest(blocks)[0], id=f"seed{seed}")
+
+
+@pytest.mark.parametrize("net", list(_seeded_nets()))
+def test_snapshot_v1_v2_v1_byte_identical(net):
+    first = io.StringIO()
+    net.save_snapshot(first)
+    v2 = io.BytesIO()
+    load_snapshot(io.StringIO(first.getvalue())).save_snapshot(v2)
+    assert v2.getvalue().startswith(b"chainpetri-snapshot-v2\n")
+    loaded = load_snapshot(io.BytesIO(v2.getvalue()))
+    _assert_nets_equal(net, loaded)
+    # integer records are int32 while their values fit; int64 loads as well
+    magic, records = _v2_split(v2.getvalue())
+    assert {record.dtype.name for record in records} == {"uint8", "int32"}
+    wide = [r if r.dtype == np.uint8 else r.astype(np.int64) for r in records]
+    _assert_nets_equal(net, load_snapshot(io.BytesIO(_v2_join(magic, wide))))
+    second = io.StringIO()
+    loaded.save_snapshot(second)
+    assert second.getvalue() == first.getvalue()
+
+
+def test_registries_shared_and_looked_up(tmp_path, sample_net):
+    from chainpetri import build_entity_net, compute_entities
+
+    path = tmp_path / "net.snapshot"
+    sample_net.save_snapshot(path)
+    text = io.StringIO()
+    sample_net.save_snapshot(text)
+    for net in (sample_net, load_snapshot(path), load_snapshot(io.StringIO(text.getvalue()))):
+        assert net.place_of("a4") == 3 and net.lookup_place("zz") is None
+        assert net.transition_of("t5") == 4
+        entity = build_entity_net(net, compute_entities(net)).net
+        assert entity.transaction_ids is net.transaction_ids
+        assert entity.transition_of("t7") == 6 and entity.tx_id_of(6) == "t7"
+        assert entity.place_of("e1") == 1 and entity.lookup_place("a1") is None
+        assert entity.address_of(3) == "e3" and entity.place_names == ["e0", "e1", "e2", "e3"]
 
 
 def test_snapshot_empty_net():
