@@ -84,16 +84,17 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
     """
     disposable = _mask(net.num_places, list(sets.addresses_d))
     in_chain = _mask(net.num_transitions, list(sets.transactions_d))
-    post = net.post.tocsc()
-    pre = net.pre.tocsr()
+    # each place's smallest spender, or num_transitions if nothing spends
+    # it; a disposable place has one spender
+    spender_of = np.full(net.num_places, net.num_transitions)
+    np.minimum.at(spender_of, net.pre.tocsc().indices, net.pre.entry_columns())
 
     # (link, spender) for each disposable output of a chain transaction,
-    # spent by a chain transaction; a disposable place has one spender
+    # spent by a chain transaction
     link = net.post.entry_columns()
-    place = post.indices
-    keep = in_chain[link] & disposable[place] & (np.diff(pre.indptr)[place] > 0)
-    link, place = link[keep], place[keep]
-    spender = pre.indices[pre.indptr[place]]
+    place = net.post.tocsc().indices
+    keep = in_chain[link] & disposable[place] & (spender_of[place] < net.num_transitions)
+    link, spender = link[keep], spender_of[place[keep]]
     keep = in_chain[spender]
     link, spender = link[keep], spender[keep]
     order = np.lexsort((spender, link))

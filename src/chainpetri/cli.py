@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 invalid flags, 2 parse/validation failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import glob
 import json
@@ -24,7 +25,7 @@ from .errors import (
     MalformedTransactionError,
     SnapshotError,
 )
-from .ingest import LAX, STRICT, convert_rawblock, encode_block, ingest, parse_block
+from .ingest import LAX, STRICT, RawBlockReport, convert_rawblock, encode_block, ingest, parse_block
 from .net import load_snapshot
 from .synthetic import GeneratorConfig, generate_synthetic
 
@@ -129,18 +130,14 @@ def _cmd_build(args) -> int:
         raise _Fail(2, "no input blocks")
 
     blocks = []
-    conversion = None
+    conversion = RawBlockReport() if args.format == "rawblock" else None
     for origin, text in texts:
         try:
-            if args.format == "rawblock":
+            if conversion is not None:
                 block, report = convert_rawblock(text)
-                if conversion is None:
-                    conversion = report
-                else:
-                    conversion.transactions += report.transactions
-                    conversion.skipped_inputs += report.skipped_inputs
-                    conversion.skipped_outputs += report.skipped_outputs
-                    conversion.skipped_transactions += report.skipped_transactions
+                for field in dataclasses.fields(report):
+                    setattr(conversion, field.name,
+                            getattr(conversion, field.name) + getattr(report, field.name))
             else:
                 block = parse_block(text)
         except (BlockParseError, BlockValidationError) as exc:
@@ -155,12 +152,7 @@ def _cmd_build(args) -> int:
     report_doc["mode"] = args.mode
     report_doc["format"] = args.format
     if conversion is not None:
-        report_doc["conversion"] = {
-            "transactions": conversion.transactions,
-            "skipped_inputs": conversion.skipped_inputs,
-            "skipped_outputs": conversion.skipped_outputs,
-            "skipped_transactions": conversion.skipped_transactions,
-        }
+        report_doc["conversion"] = dataclasses.asdict(conversion)
     _write_json(args.report or f"{args.out}.report.json", report_doc, args)
     print(
         f"built snapshot {args.out}: {report.addresses} addresses, "
@@ -268,7 +260,7 @@ def _collect_block_texts(inputs) -> list[tuple[str, str]]:
     for path in inputs:
         if os.path.isdir(path):
             files = []
-            for name in glob.glob(os.path.join(path, "block_*.json")):
+            for name in glob.glob(os.path.join(glob.escape(path), "block_*.json")):
                 match = _BLOCK_FILE.search(os.path.basename(name))
                 if match:
                     files.append((int(match.group(1)), name))

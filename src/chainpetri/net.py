@@ -43,17 +43,22 @@ class Compressed(NamedTuple):
 class SparseIncidence:
     """Immutable sparse positive-integer matrix with row and column iteration.
 
-    Holds compressed row and column forms of one matrix, so that both scan
-    directions are O(entries touched).  Zero entries are never stored.
+    Stores one compressed column form plus the per-row entry counts; the row
+    form is derived on request.  Zero entries are never stored.
     """
 
     def __init__(self, rows, cols, values, shape: tuple[int, int]):
         """Build from (row, col, value) entries.  Duplicate positions are
         summed, zero sums are dropped and any other sum must be positive.
         Entries already in strictly increasing column-major order, as `seal()`
-        and snapshot loads give them, skip the column-major sort and the sum."""
+        and snapshot loads give them, skip the column-major sort and the sum.
+        Raises ValueError naming the first row or column outside `shape`."""
         self.num_rows, self.num_cols = shape
         rows, cols, data = (np.asarray(a, dtype=np.int64) for a in (rows, cols, values))
+        for index, size, what in ((rows, self.num_rows, "row"), (cols, self.num_cols, "column")):
+            if len(index) and (index.min() < 0 or index.max() >= size):
+                bad = index[(index < 0) | (index >= size)][0]
+                raise ValueError(f"{what} {bad} out of range (0..{size - 1})")
         key = cols * self.num_rows + rows
         if np.any(key[1:] <= key[:-1]):
             order = np.argsort(key)
@@ -70,14 +75,10 @@ class SparseIncidence:
         self._csc = Compressed(_offsets(np.bincount(cols, minlength=self.num_cols)), rows, data)
         self._row_nnz = np.bincount(rows, minlength=self.num_rows)
         self._row_nnz.flags.writeable = False
-        # unique row-major keys: the order of a stable sort by row, and up to
-        # 3x faster than numpy's stable sort when rows arrive unordered
-        order = np.argsort(rows * self.num_cols + cols)
-        self._csr = Compressed(_offsets(self._row_nnz), cols[order], data[order])
 
     @property
     def nnz(self) -> int:
-        return len(self._csr.data)
+        return len(self._csc.data)
 
     def row_nnz(self, row: int) -> int:
         _check_index(row, self.num_rows, "row")
@@ -95,11 +96,11 @@ class SparseIncidence:
         return csc.indices[lo:hi], csc.data[lo:hi]
 
     def row_entries(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column ids and values stored in one row."""
+        """Column ids and values stored in one row: a scan of all entries."""
         _check_index(row, self.num_rows, "row")
-        csr = self._csr
-        lo, hi = csr.indptr[row], csr.indptr[row + 1]
-        return csr.indices[lo:hi], csr.data[lo:hi]
+        csc = self._csc
+        hits = np.flatnonzero(csc.indices == row)
+        return np.searchsorted(csc.indptr, hits, side="right") - 1, csc.data[hits]
 
     def col_nnz_all(self) -> np.ndarray:
         """Per-column entry counts as one array."""
@@ -110,22 +111,26 @@ class SparseIncidence:
         return np.repeat(np.arange(self.num_cols), self.col_nnz_all())
 
     def tocsr(self) -> Compressed:
-        return self._csr
+        """The compressed row form, derived from the column form on each call."""
+        csc, cols = self._csc, self.entry_columns()
+        # sorting the unique row-major keys gives the order of a stable sort
+        # by row, and is up to 3x faster than numpy's stable sort
+        order = np.argsort(csc.indices * self.num_cols + cols)
+        return Compressed(_offsets(self._row_nnz), cols[order], csc.data[order])
 
     def tocsc(self) -> Compressed:
         return self._csc
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
-        dense[self._entry_rows(), self._csr.indices] = self._csr.data
+        dense[self._csc.indices, self.entry_columns()] = self._csc.data
         return dense
 
     def triplets(self) -> list[list[int]]:
         """All entries as [row, col, value] sorted by row then col."""
-        return np.column_stack([self._entry_rows(), self._csr.indices, self._csr.data]).tolist()
-
-    def _entry_rows(self) -> np.ndarray:
-        return np.repeat(np.arange(self.num_rows), self._row_nnz)
+        csr = self.tocsr()
+        rows = np.repeat(np.arange(self.num_rows), self._row_nnz)
+        return np.column_stack([rows, csr.indices, csr.data]).tolist()
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -493,13 +498,12 @@ def _check_triplets(value, section: str, shape: tuple[int, int]) -> SparseIncide
 
 def _incidence(rows, cols, key, order: str, section: str, shape) -> SparseIncidence:
     """A binary matrix from entries whose `key` must rise strictly."""
-    if len(rows) and (rows.min() < 0 or rows.max() >= shape[0]):
-        raise SnapshotError("row index out of range", section)
-    if len(cols) and (cols.min() < 0 or cols.max() >= shape[1]):
-        raise SnapshotError("column index out of range", section)
     if np.any(key[1:] <= key[:-1]):
         raise SnapshotError(f"entries must be strictly sorted by {order}", section)
-    return SparseIncidence(rows, cols, np.ones(len(rows), dtype=np.int64), shape)
+    try:
+        return SparseIncidence(rows, cols, np.ones(len(rows), dtype=np.int64), shape)
+    except ValueError as exc:
+        raise SnapshotError(str(exc), section) from exc
 
 
 def _read_array(fh, section: str, dtypes: tuple[str, ...]) -> np.ndarray:

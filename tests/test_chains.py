@@ -203,6 +203,25 @@ def test_doctored_starts_raise_integrity_error():
         build_chains(net, doctored)
 
 
+def test_multiply_spent_place_follows_smallest_spender():
+    # x is spent twice, so it is not disposable; sets that list it anyway
+    # follow only its smallest spender, and drop x when that one is no link
+    net = build_net(
+        [
+            ("fund", [], ["a"]),
+            ("link", ["a"], ["x", "y"]),
+            ("small", ["x"], ["p", "q"]),
+            ("big", ["x"], ["r", "s"]),
+        ]
+    )
+    t = {name: net.transition_of(name) for name in ("link", "small", "big")}
+    places = {net.place_of("a"), net.place_of("x")}
+    found = build_chains(net, DisposableSets(places, set(t.values()), {t["link"]}))
+    assert [(c.links, c.bypassed) for c in found] == [([t["link"], t["small"]], [])]
+    found = build_chains(net, DisposableSets(places, {t["link"], t["big"]}, {t["link"]}))
+    assert [(c.links, c.bypassed) for c in found] == [([t["link"]], [])]
+
+
 def test_cycle_guard():
     # x and y fund each other; forcing one of them in as a start would loop
     net = build_net(

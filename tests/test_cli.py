@@ -95,6 +95,48 @@ def test_build_ndjson_stream(tmp_path, sample_blocks):
     assert load_snapshot(out).num_transitions == 7
 
 
+def test_build_directory_with_glob_metacharacters(tmp_path, sample_blocks):
+    directory = tmp_path / "run[1]"
+    directory.mkdir()
+    for block in sample_blocks:
+        (directory / f"block_{block.height}.json").write_text(encode_block(block))
+    out = tmp_path / "net.json"
+    assert main(["build", str(directory), "--out", str(out)]) == 0
+    assert load_snapshot(out).num_transitions == 7
+
+
+def test_build_rawblock_report_sums_conversion(tmp_path):
+    # every count is non-zero in both files, so each must be summed
+    def raw(height, txs):
+        return json.dumps({"height": height, "tx": txs})
+
+    first = tmp_path / "block_0.json"
+    first.write_text(raw(0, [
+        {"hash": "c1", "inputs": [{}], "out": [{"addr": "A"}, {"value": 1}]},
+        {"hash": "c2", "inputs": [{}], "out": [{"value": 2}]},
+        {"hash": "c3", "inputs": [{"prev_out": {"value": 9}}], "out": [{"addr": "E"}]},
+    ]))
+    second = tmp_path / "block_1.json"
+    second.write_text(raw(1, [
+        {"hash": "s1", "inputs": [{"prev_out": {"addr": "A"}}, {"prev_out": {}}],
+         "out": [{"addr": "B"}, {"addr": "C"}, {}]},
+        {"hash": "s2", "inputs": [{"prev_out": {"value": 3}}], "out": [{"addr": "D"}]},
+        {"hash": "s3", "inputs": [{"prev_out": {"addr": "B"}}], "out": [{}, {"addr": ""}]},
+    ]))
+    out = tmp_path / "net.json"
+    assert main(["build", str(first), str(second), "--format", "rawblock", "--out", str(out)]) == 0
+    report = json.loads((tmp_path / "net.json.report.json").read_text())
+    assert report["conversion"] == {
+        "transactions": 4,
+        "skipped_inputs": 3,
+        "skipped_outputs": 5,
+        "skipped_transactions": 2,
+    }
+    assert list(report["conversion"]) == [
+        "transactions", "skipped_inputs", "skipped_outputs", "skipped_transactions"
+    ]
+
+
 def test_build_orders_directory_numerically(tmp_path, sample_blocks):
     directory = tmp_path / "blocks"
     directory.mkdir()

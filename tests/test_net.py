@@ -175,6 +175,10 @@ def test_incidence_matches_dense_oracle(seed):
             assert np.all(np.diff(form.indices[lo:hi]) > 0)
             assert np.array_equal(form.indices[lo:hi], np.flatnonzero(dense[line]))
             assert np.array_equal(form.data[lo:hi], dense[line][form.indices[lo:hi]])
+    for row in range(shape[0]):
+        cols, vals = inc.row_entries(row)
+        assert np.array_equal(cols, np.flatnonzero(oracle[row]))
+        assert np.array_equal(vals, oracle[row][cols])
 
 
 def test_incidence_zero_and_negative_sums():
@@ -183,6 +187,11 @@ def test_incidence_zero_and_negative_sums():
     assert inc.row_entries(0)[0].tolist() == [] and inc.column_entries(1)[0].tolist() == []
     with pytest.raises(ValueError, match="must be positive"):
         SparseIncidence([0, 0, 1], [1, 1, 0], [1, -2, 1], (2, 2))
+    # entries outside the shape, with the index the error must name
+    for rows, cols, named in (([0, 2], [1, 0], "row 2"), ([0, 1], [1, 2], "column 2"),
+                              ([-1, 0], [0, 1], "row -1"), ([1, 0], [0, -1], "column -1")):
+        with pytest.raises(ValueError, match=f"^{named} out of range"):
+            SparseIncidence(rows, cols, [1, 1], (2, 2))
 
 
 # -- row/column queries --------------------------------------------------------
