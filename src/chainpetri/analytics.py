@@ -7,11 +7,11 @@ address-level and entity-level nets.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .net import PlaceTransitionNet
+from .net import PlaceTransitionNet, _label_groups
 
 SIDES = ("pre", "post", "both")
 
@@ -54,14 +54,7 @@ class SummaryReport:
     disposable: int
 
     def as_dict(self) -> dict:
-        return {
-            "places": self.places,
-            "transitions": self.transitions,
-            "pre_arcs": self.pre_arcs,
-            "post_arcs": self.post_arcs,
-            "accumulate_only": self.accumulate_only,
-            "disposable": self.disposable,
-        }
+        return asdict(self)
 
 
 def degree_multiset(net: PlaceTransitionNet, side: str) -> DegreeMultiset:
@@ -134,32 +127,28 @@ def repeated_groups(net: PlaceTransitionNet) -> RepeatGroups:
 
     Column identity includes the stored values, so entity-level nets group
     only transitions that repeat with the same multiplicities.  Singleton
-    groups are omitted.
+    groups are omitted; groups come in the order of their first member.
     """
-    pre = net.pre.tocsc()
-    post = net.post.tocsc()
-    pre_ptr, pre_idx, pre_val = pre.indptr, pre.indices, pre.data
-    post_ptr, post_idx, post_val = post.indptr, post.indices, post.data
+    pre, post = net.pre.tocsc(), net.post.tocsc()
+    pre_nnz, post_nnz = np.diff(pre.indptr), np.diff(post.indptr)
+    # Only transitions with the same entry count on each side can repeat.
+    _, shape = np.unique(pre_nnz * (post_nnz.max(initial=0) + 1) + post_nnz,
+                         return_inverse=True)
+    first = np.arange(net.num_transitions)
+    for members in _label_groups(shape, 2):
+        cols = np.array(members)
+        pre_at = pre.indptr[cols, None] + np.arange(pre_nnz[cols[0]])
+        post_at = post.indptr[cols, None] + np.arange(post_nnz[cols[0]])
+        rows = np.hstack([pre.indices[pre_at], pre.data[pre_at],
+                          post.indices[post_at], post.data[post_at]])
+        # the sort is stable, so each run of equal rows starts at its smallest
+        # transition
+        order = np.lexsort(rows.T)
+        rows, cols = rows[order], cols[order]
+        starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+        first[cols] = np.repeat(cols[starts], np.diff(np.r_[starts, len(cols)]))
 
-    buckets: dict[bytes, list[int]] = {}
-    for t in range(net.num_transitions):
-        a, b = pre_ptr[t], pre_ptr[t + 1]
-        c, d = post_ptr[t], post_ptr[t + 1]
-        key = b"|".join(
-            (
-                pre_idx[a:b].tobytes(),
-                pre_val[a:b].tobytes(),
-                post_idx[c:d].tobytes(),
-                post_val[c:d].tobytes(),
-            )
-        )
-        bucket = buckets.get(key)
-        if bucket is None:
-            buckets[key] = [t]
-        else:
-            bucket.append(t)
-
-    groups = [g for g in buckets.values() if len(g) >= 2]
+    groups = _label_groups(first, 2)
     repetition_count = sum(len(g) - 1 for g in groups)
     n = net.num_transitions
     fraction = repetition_count / n if n else 0.0

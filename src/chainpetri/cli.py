@@ -168,7 +168,7 @@ def _cmd_entities(args) -> int:
     rows = entities_mod.entity_report(partition, net)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "entities.json"), rows, args)
-    print(f"{len(partition.entities)} entities over {net.num_places} addresses",
+    print(f"{len(rows)} entities over {net.num_places} addresses",
           file=sys.stderr)
     return 0
 

@@ -15,7 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import PartitionMismatchError
-from .net import ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _Registry
+from .net import (
+    ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _label_groups, _Registry,
+)
 
 
 @dataclass(eq=False)
@@ -30,6 +32,9 @@ class EntityPartition:
 
     place_to_entity: np.ndarray
 
+    def __post_init__(self):
+        self.place_to_entity = np.asarray(self.place_to_entity)
+
     def __eq__(self, other):
         if not isinstance(other, EntityPartition):
             return NotImplemented
@@ -37,10 +42,8 @@ class EntityPartition:
 
     @cached_property
     def entities(self) -> list[list[int]]:
-        labels = self.place_to_entity
-        members = np.argsort(labels, kind="stable").tolist()
-        ends = np.cumsum(np.bincount(labels)).tolist()
-        return [members[lo:hi] for lo, hi in zip([0] + ends[:-1], ends)]
+        # min_size 0 keeps an unused label's empty list, so entities[i] is label i
+        return _label_groups(self.place_to_entity, 0)
 
 
 @dataclass
@@ -49,11 +52,6 @@ class EntityNet:
 
     net: PlaceTransitionNet
     partition: EntityPartition
-
-    @property
-    def member_map(self) -> list[list[int]]:
-        """Members of each entity place (the partition's own `entities`)."""
-        return self.partition.entities
 
 
 def compute_entities(net: PlaceTransitionNet) -> EntityPartition:
@@ -110,6 +108,11 @@ def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> Ent
 def _check_partition(partition: EntityPartition, num_places: int) -> int:
     """Validate the labels; returns the number of entities."""
     labels = partition.place_to_entity
+    # bool casts safely to an index but is not a label
+    if labels.ndim != 1 or labels.dtype == bool or not np.can_cast(labels.dtype, np.intp):
+        raise PartitionMismatchError(
+            f"entity labels must be a 1-D integer array, got {labels.dtype} of shape {labels.shape}"
+        )
     if len(labels) != num_places:
         raise PartitionMismatchError(
             f"partition maps {len(labels)} places, net has {num_places}"
@@ -139,13 +142,13 @@ def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
 
 def entity_report(partition: EntityPartition, net: PlaceTransitionNet) -> list[dict]:
     """Report rows sorted by descending size, ties by entity index."""
-    rows = [
+    entities, names = partition.entities, net.place_names
+    order = np.argsort(-np.bincount(partition.place_to_entity), kind="stable").tolist()
+    return [
         {
             "entity": index,
-            "size": len(members),
-            "addresses": [net.address_of(p) for p in members],
+            "size": len(entities[index]),
+            "addresses": [names[p] for p in entities[index]],
         }
-        for index, members in enumerate(partition.entities)
+        for index in order
     ]
-    rows.sort(key=lambda r: (-r["size"], r["entity"]))
-    return rows

@@ -9,7 +9,7 @@ and the blockchain.info-style rawblock subset handled by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import (
     BlockOrderingError,
@@ -57,15 +57,7 @@ class IngestReport:
     rejected_tx_ids: list[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "blocks": self.blocks,
-            "transactions": self.transactions,
-            "addresses": self.addresses,
-            "pre_arcs": self.pre_arcs,
-            "post_arcs": self.post_arcs,
-            "rejects": self.rejects,
-            "rejected_tx_ids": list(self.rejected_tx_ids),
-        }
+        return asdict(self)
 
 
 def _require_int(value, what: str, tx_id: str | None = None) -> int:

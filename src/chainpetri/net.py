@@ -137,6 +137,16 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
+def _label_groups(labels: np.ndarray, min_size: int) -> list[list[int]]:
+    """The ids carrying each label, ascending, in label order; labels held by
+    fewer than `min_size` ids are left out."""
+    sizes = np.bincount(labels)
+    keep = sizes >= min_size
+    members = np.argsort(labels, kind="stable")[np.repeat(keep, sizes)].tolist()
+    bounds = _offsets(sizes[keep]).tolist()
+    return [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _check_index(index: int, size: int, what: str):
     if not 0 <= index < size:
         raise IndexError(f"{what} {index} out of range (0..{size - 1})")

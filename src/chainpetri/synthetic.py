@@ -18,7 +18,7 @@ triggers the detectors:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import GeneratorConfigError
 from .ingest import Block, TransactionRecord
@@ -81,28 +81,16 @@ class GeneratorConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        known = {f: doc[f] for f in (
-            "entity_sizes", "chain_lengths", "repeat_group_sizes",
-            "fillers", "addresses_per_filler", "block_size", "max_transactions",
-        ) if f in doc}
-        unknown = doc.keys() - known.keys()
+        unknown = doc.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise GeneratorConfigError(f"unknown config field(s) {sorted(unknown)}")
         try:
-            return cls(**known)
+            return cls(**doc)
         except TypeError as exc:
             raise GeneratorConfigError(str(exc)) from exc
 
     def as_dict(self) -> dict:
-        return {
-            "entity_sizes": list(self.entity_sizes),
-            "chain_lengths": list(self.chain_lengths),
-            "repeat_group_sizes": list(self.repeat_group_sizes),
-            "fillers": self.fillers,
-            "addresses_per_filler": self.addresses_per_filler,
-            "block_size": self.block_size,
-            "max_transactions": self.max_transactions,
-        }
+        return asdict(self)
 
 
 @dataclass(slots=True)

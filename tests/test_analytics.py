@@ -165,24 +165,47 @@ def test_sample_repeats(sample_net):
 
 
 def test_no_repeats():
-    net = build_net([("c1", [], ["A"]), ("c2", [], ["B"])])
-    repeats = repeated_groups(net)
-    assert repeats.groups == []
-    assert repeats.repetition_count == 0
-    assert repeats.fraction == 0.0
+    for txs in (
+        [("c1", [], ["A"]), ("c2", [], ["B"])],
+        # the same three entries, split 2+1 and 1+2 between pre and post
+        [("x", ["A", "B"], ["C"]), ("y", ["A"], ["B", "C"])],
+    ):
+        repeats = repeated_groups(build_net(txs))
+        assert repeats.groups == []
+        assert repeats.repetition_count == 0
+        assert repeats.fraction == 0.0
 
 
 def test_repeats_empty_net():
     assert repeated_groups(PlaceTransitionNet().seal()).fraction == 0.0
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_repeats_match_allpairs_oracle(seed):
+def _oracle_net(seed: int, level: str):
+    """A seeded net with its dense pre/post matrices: a replay of the stream
+    at the address level, the entity net's own matrices at the entity level."""
     rng = random.Random(seed)
     txs = random_transactions(rng, n_tx=rng.randint(0, 50), pool_size=rng.randint(1, 8))
     net = build_net(txs)
+    if level == "entity":
+        net = build_entity_net(net, compute_entities(net)).net
+        return net, net.pre.toarray(), net.post.toarray()
     _, pre, post = dense_replay(txs)
+    return net, pre, post
+
+
+# address-level cases keep their plain seed ids
+@pytest.mark.parametrize("level, seed", [
+    *(pytest.param("address", seed, id=str(seed)) for seed in range(10)),
+    *(pytest.param("entity", seed, id=f"entity-{seed}") for seed in range(10)),
+])
+def test_repeats_match_allpairs_oracle(level, seed):
+    net, pre, post = _oracle_net(seed, level)
     assert repeated_groups(net).groups == allpairs_repeat_groups(pre, post)
+
+
+def test_repeat_oracle_seeds_reach_multiplicities():
+    # the entity-level oracle cases above must hold values above 1 somewhere
+    assert any(_oracle_net(seed, "entity")[1].max(initial=0) > 1 for seed in range(10))
 
 
 def test_repeat_count_definition(sample_net):

@@ -153,12 +153,6 @@ def test_entity_net_shares_transitions(sample_net):
     assert entity.net.transaction_ids == sample_net.transaction_ids
 
 
-def test_member_map_matches_partition(sample_net):
-    partition = compute_entities(sample_net)
-    entity = build_entity_net(sample_net, partition)
-    assert entity.member_map is partition.entities
-
-
 def test_all_singleton_partition_is_identity(sample_net):
     m = sample_net.num_places
     partition = EntityPartition(np.arange(m))
@@ -183,9 +177,16 @@ def test_partition_mismatch_rejected(sample_net):
     wrong_length = np.zeros(m - 1, dtype=np.int64)
     gap = np.array([0, 2, 2, 3, 3, 3])  # no entity 1
     negative = np.array([0, -1, 1, 2, 3, 4])
-    for labels in (wrong_length, gap, negative):
+    floats = np.zeros(m)
+    bools = np.zeros(m, dtype=bool)
+    two_d = np.zeros((m, 1), dtype=np.int64)
+    for labels in (wrong_length, gap, negative, floats, bools, two_d):
         with pytest.raises(PartitionMismatchError):
             build_entity_net(sample_net, EntityPartition(labels))
+    labels = compute_entities(sample_net).place_to_entity
+    from_list = build_entity_net(sample_net, EntityPartition(labels.tolist()))
+    assert np.array_equal(from_list.net.pre.toarray(),
+                          build_entity_net(sample_net, EntityPartition(labels)).net.pre.toarray())
 
 
 def test_cyclic_transitions_sample(sample_net):
@@ -216,3 +217,13 @@ def test_entity_report_ordering(sample_net):
     assert rows[0]["addresses"] == ["a2", "a3", "a6"]
     # ties broken by entity index
     assert [r["entity"] for r in rows[1:]] == [0, 2, 3]
+    for seed in range(10):
+        rng = random.Random(4000 + seed)
+        txs = random_transactions(rng, n_tx=rng.randint(1, 60), pool_size=rng.randint(2, 25))
+        net = build_net(txs)
+        order, _, _ = dense_replay(txs)
+        components = coinput_components(txs, order)
+        ranked = sorted(range(len(components)), key=lambda i: (-len(components[i]), i))
+        expected = [{"entity": i, "size": len(components[i]),
+                     "addresses": [order[p] for p in components[i]]} for i in ranked]
+        assert entity_report(compute_entities(net), net) == expected
