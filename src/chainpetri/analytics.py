@@ -75,12 +75,12 @@ def ccdf(degrees) -> CcdfSeries:
     Emits a point at x = 0 and at every distinct observed value, so the
     series always starts at the fraction of nonzero values and ends at 0.
     """
-    values = degrees.counts if isinstance(degrees, DegreeMultiset) else degrees
-    values = np.asarray(values, dtype=np.int64)
+    values = np.asarray(degrees.counts if isinstance(degrees, DegreeMultiset) else degrees)
     if values.size == 0:
         raise ValueError("ccdf of an empty multiset is undefined")
-    if values.min() < 0:
-        raise ValueError("degree values must be nonnegative")
+    if values.dtype.kind not in "iu" or values.min() < 0:
+        raise ValueError("degree values must be nonnegative integers")
+    values = values.astype(np.int64, copy=False)
     xs = np.unique(values)
     if xs[0] != 0:
         xs = np.concatenate([[0], xs])

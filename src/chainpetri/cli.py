@@ -125,27 +125,15 @@ def main(argv=None) -> int:
 
 
 def _cmd_build(args) -> int:
-    texts = _collect_block_texts(args.inputs)
-    if not texts:
+    conversion = RawBlockReport() if args.format == "rawblock" else None
+    blocks = sorted((_parse(origin, text, conversion) for origin, text in _block_texts(args.inputs)),
+                    key=lambda b: b.height)
+    if not blocks:
         raise _Fail(2, "no input blocks")
 
-    blocks = []
-    conversion = RawBlockReport() if args.format == "rawblock" else None
-    for origin, text in texts:
-        try:
-            if conversion is not None:
-                block, report = convert_rawblock(text)
-                for field in dataclasses.fields(report):
-                    setattr(conversion, field.name,
-                            getattr(conversion, field.name) + getattr(report, field.name))
-            else:
-                block = parse_block(text)
-        except (BlockParseError, BlockValidationError) as exc:
-            raise _Fail(2, f"{origin}: {exc}") from exc
-        blocks.append(block)
-
-    blocks.sort(key=lambda b: b.height)
-    net, report = ingest(blocks, mode=args.mode)
+    blocks.reverse()
+    # pop each block as ingest takes it, so none outlives its recording
+    net, report = ingest((blocks.pop() for _ in range(len(blocks))), mode=args.mode)
     net.save_snapshot(args.out)
 
     report_doc = report.as_dict()
@@ -199,13 +187,10 @@ def _cmd_stats(args) -> int:
     _write_json(os.path.join(args.out, "summary.json"),
                 analytics.summary(net).as_dict(), args)
     for side in analytics.SIDES:
-        path = os.path.join(args.out, f"ccdf_{side}.csv")
         degrees = analytics.degree_multiset(net, side)
-        if degrees.counts.size == 0:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("x,ccdf\n")
-        else:
-            analytics.ccdf_to_csv(analytics.ccdf(degrees), path)
+        # the CCDF of no places is undefined: its file holds only the header
+        series = analytics.ccdf(degrees) if degrees.counts.size else analytics.CcdfSeries([])
+        analytics.ccdf_to_csv(series, os.path.join(args.out, f"ccdf_{side}.csv"))
     print(f"stats for {net.num_places} places written to {args.out}", file=sys.stderr)
     return 0
 
@@ -255,8 +240,25 @@ def _cmd_synth(args) -> int:
 # -- helpers -----------------------------------------------------------------
 
 
-def _collect_block_texts(inputs) -> list[tuple[str, str]]:
-    texts = []
+def _parse(origin: str, text: str, conversion: RawBlockReport | None):
+    """One block; rawblock counts are summed into `conversion`."""
+    try:
+        if conversion is None:
+            return parse_block(text)
+        block, report = convert_rawblock(text)
+    except (BlockParseError, BlockValidationError) as exc:
+        raise _Fail(2, f"{origin}: {exc}") from exc
+    for field in dataclasses.fields(report):
+        setattr(conversion, field.name,
+                getattr(conversion, field.name) + getattr(report, field.name))
+    return block
+
+
+def _block_texts(inputs):
+    """(origin, text) per block; each file is read when its turn comes, once all inputs exist."""
+    for path in inputs:
+        if not os.path.exists(path):
+            raise _Fail(3, f"input path does not exist: {path}")
     for path in inputs:
         if os.path.isdir(path):
             files = []
@@ -265,12 +267,9 @@ def _collect_block_texts(inputs) -> list[tuple[str, str]]:
                 if match:
                     files.append((int(match.group(1)), name))
             for _, name in sorted(files):
-                texts.append((name, _read_text(name)))
-        elif os.path.exists(path):
-            texts.extend(_split_stream(path, _read_text(path)))
+                yield name, _read_text(name)
         else:
-            raise _Fail(3, f"input path does not exist: {path}")
-    return texts
+            yield from _split_stream(path, _read_text(path))
 
 
 def _read_text(path: str) -> str:
@@ -287,12 +286,8 @@ def _split_stream(origin: str, content: str) -> list[tuple[str, str]]:
         json.loads(content)
         return [(origin, content)]
     except json.JSONDecodeError:
-        pass
-    parts = []
-    for lineno, line in enumerate(content.splitlines(), start=1):
-        if line.strip():
-            parts.append((f"{origin}:{lineno}", line))
-    return parts
+        lines = enumerate(content.splitlines(), start=1)
+        return [(f"{origin}:{lineno}", line) for lineno, line in lines if line.strip()]
 
 
 def _load_net(path: str):

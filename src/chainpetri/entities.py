@@ -10,7 +10,6 @@ entities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +25,8 @@ class EntityPartition:
 
     `place_to_entity[p]` is the index of the entity that contains place p;
     entities are numbered by smallest member.  `entities` lists each
-    entity's members ascending, in index order, and is derived from the
-    labels on first use.  Two partitions are equal when their labels are.
+    entity's members ascending, in index order, derived from the labels on
+    each access.  Two partitions are equal when their labels are.
     """
 
     place_to_entity: np.ndarray
@@ -40,7 +39,7 @@ class EntityPartition:
             return NotImplemented
         return np.array_equal(self.place_to_entity, other.place_to_entity)
 
-    @cached_property
+    @property
     def entities(self) -> list[list[int]]:
         # min_size 0 keeps an unused label's empty list, so entities[i] is label i
         return _label_groups(self.place_to_entity, 0)
@@ -142,13 +141,10 @@ def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
 
 def entity_report(partition: EntityPartition, net: PlaceTransitionNet) -> list[dict]:
     """Report rows sorted by descending size, ties by entity index."""
-    entities, names = partition.entities, net.place_names
-    order = np.argsort(-np.bincount(partition.place_to_entity), kind="stable").tolist()
-    return [
-        {
-            "entity": index,
-            "size": len(entities[index]),
-            "addresses": [names[p] for p in entities[index]],
-        }
-        for index in order
-    ]
+    labels = partition.place_to_entity
+    order = np.argsort(-np.bincount(labels), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    groups = _label_groups(rank[labels], 0, net.place_names)
+    return [{"entity": index, "size": len(names), "addresses": names}
+            for index, names in zip(order.tolist(), groups)]

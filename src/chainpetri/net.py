@@ -137,12 +137,14 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def _label_groups(labels: np.ndarray, min_size: int) -> list[list[int]]:
-    """The ids carrying each label, ascending, in label order; labels held by
-    fewer than `min_size` ids are left out."""
+def _label_groups(labels: np.ndarray, min_size: int, items=None) -> list[list]:
+    """The ids (as items[id] when `items` is given) carrying each label,
+    ascending, in label order; labels held by fewer than `min_size` ids are left out."""
     sizes = np.bincount(labels)
     keep = sizes >= min_size
     members = np.argsort(labels, kind="stable")[np.repeat(keep, sizes)].tolist()
+    if items is not None:
+        members = list(map(items.__getitem__, members))
     bounds = _offsets(sizes[keep]).tolist()
     return [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
@@ -253,7 +255,7 @@ class PlaceTransitionNet:
         places = self._places
         idx = places.index.get(addr)
         if idx is None:
-            if not addr:
+            if not isinstance(addr, str) or not addr:
                 raise ValueError("address must be a non-empty string")
             idx = len(places.names)
             places.index[addr] = idx
@@ -272,12 +274,17 @@ class PlaceTransitionNet:
             raise NetSealedError("cannot record transactions on a sealed net")
         if not outputs:
             raise MalformedTransactionError(f"transaction {tx_id!r} has no outputs")
-        if not tx_id:
-            raise MalformedTransactionError("transaction id must be non-empty")
+        if not isinstance(tx_id, str) or not tx_id:
+            raise MalformedTransactionError("transaction id must be a non-empty string")
         txs = self._txs
         if tx_id in txs.index:
             raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
-        if not all(inputs) or not all(outputs):
+        try:
+            "".join(inputs), "".join(outputs)  # TypeError unless every address is a str
+            valid = all(inputs) and all(outputs)
+        except TypeError:
+            valid = False
+        if not valid:
             raise ValueError("address must be a non-empty string")
         t = len(txs.names)
         txs.index[tx_id] = t
@@ -386,9 +393,13 @@ class PlaceTransitionNet:
             self._write_v2(destination)
         else:
             tmp = f"{destination}.tmp"
-            with open(tmp, "wb") as fh:
-                self._write_v2(fh)
-            os.replace(tmp, destination)
+            try:
+                with open(tmp, "wb") as fh:
+                    self._write_v2(fh)
+                os.replace(tmp, destination)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
 
     def _write_v2(self, fh):
         # The magic line, then .npy records: each registry as one UTF-8 blob

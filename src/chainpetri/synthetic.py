@@ -84,10 +84,7 @@ class GeneratorConfig:
         unknown = doc.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise GeneratorConfigError(f"unknown config field(s) {sorted(unknown)}")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise GeneratorConfigError(str(exc)) from exc
+        return cls(**doc)
 
     def as_dict(self) -> dict:
         return asdict(self)

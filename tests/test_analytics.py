@@ -83,6 +83,12 @@ def test_ccdf_empty_rejected():
         ccdf([])
 
 
+@pytest.mark.parametrize("values", [[0.5, 1.7, -0.5], [1.0, 2.0], [-1, 2], ["1"], [True]])
+def test_ccdf_non_integer_or_negative_rejected(values):
+    with pytest.raises(ValueError):
+        ccdf(values)
+
+
 @given(multisets)
 def test_ccdf_properties(values):
     points = ccdf(values).points

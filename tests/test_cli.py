@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from chainpetri import encode_block, load_snapshot
+from chainpetri import PlaceTransitionNet, encode_block, load_snapshot
 from chainpetri.cli import main
 from conftest import SAMPLE_TXS
 
@@ -181,6 +181,18 @@ def test_build_duplicate_transaction_names_block(tmp_path, capsys):
 
 def test_build_missing_input_path(tmp_path, capsys):
     assert main(["build", str(tmp_path / "nope"), "--out", str(tmp_path / "net.json")]) == 3
+    # every input is checked before any is read, so an earlier bad block is not reported
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    assert main(["build", str(bad), str(tmp_path / "nope"), "--out", str(tmp_path / "net.json")]) == 3
+    assert "nope" in capsys.readouterr().err.splitlines()[-1]
+
+
+def test_build_out_in_missing_directory_exit_3(tmp_path, block_dir, capsys):
+    out = tmp_path / "missing" / "net.snapshot"
+    assert main(["build", str(block_dir), "--out", str(out)]) == 3
+    assert "I/O error" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_build_strict_mode_flag(tmp_path):
@@ -247,6 +259,16 @@ def test_stats_command(tmp_path, snapshot):
     assert len(pre_csv) == 4  # x = 0, 1, 2
     assert (out / "ccdf_post.csv").exists()
     assert (out / "ccdf_both.csv").exists()
+
+
+def test_stats_empty_net_writes_header_only_csvs(tmp_path):
+    snapshot = tmp_path / "empty.snapshot"
+    PlaceTransitionNet().seal().save_snapshot(snapshot)
+    out = tmp_path / "stats"
+    assert main(["stats", str(snapshot), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["places"] == 0
+    for side in ("pre", "post", "both"):
+        assert (out / f"ccdf_{side}.csv").read_text() == "x,ccdf\n"
 
 
 def test_stats_entity_level(tmp_path, snapshot):
@@ -351,6 +373,15 @@ def test_build_non_utf8_block_exit_2(tmp_path, block_dir, capsys):
     (block_dir / "block_0.json").write_bytes(b'{"height": 0, "transactions": []}\xff')
     assert main(["build", str(block_dir), "--out", str(tmp_path / "net.json")]) == 2
     assert "block_0.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{nope", "[1, 2]"], ids=["not-json", "not-an-object"])
+def test_synth_config_not_a_json_object_exit_2(tmp_path, capsys, text):
+    config = tmp_path / "gen.json"
+    config.write_text(text)
+    assert main(["synth", "--config", str(config), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "gen.json" in capsys.readouterr().err
 
 
 def test_synth_non_utf8_config_exit_2(tmp_path, capsys):

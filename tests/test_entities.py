@@ -57,6 +57,9 @@ def test_coinbase_only_net_all_singletons():
     net = build_net([("c1", [], ["A"]), ("c2", [], ["B", "C"])])
     partition = compute_entities(net)
     assert partition.entities == [[0], [1], [2]]
+    # entities follow the labels, with no stale copy after a reassignment
+    partition.place_to_entity = np.array([0, 0, 1])
+    assert partition.entities == [[0, 1], [2]]
 
 
 def test_requires_sealed_net():

@@ -179,14 +179,19 @@ def test_rawblock_drops_transaction_without_usable_outputs():
         {"height": 0, "tx": [{"hash": "h", "inputs": 5, "out": [{"addr": "A"}]}]},
         {"height": 0, "tx": [{"hash": "h", "inputs": [{}], "out": 5}]},
         {"height": -3, "tx": []},
+        [{"height": 0, "tx": []}],
+        {"height": 0, "tx": [3]},
+        {"height": 0, "tx": [{"hash": "h", "inputs": [5], "out": [{"addr": "A"}]}]},
+        {"height": 0, "tx": [{"hash": "h", "inputs": [{}], "out": ["A"]}]},
     ],
 )
 def test_rawblock_validation_errors(doc):
     with pytest.raises(BlockValidationError) as err:
         convert_rawblock(json.dumps(doc))
-    txs = doc.get("tx")
-    if isinstance(txs, list) and txs and "hash" in txs[0]:
-        assert err.value.tx_id == txs[0]["hash"]
+    txs = doc.get("tx") if isinstance(doc, dict) else None
+    first = txs[0] if isinstance(txs, list) and txs else None
+    if isinstance(first, dict) and "hash" in first:
+        assert err.value.tx_id == first["hash"]
 
 
 def test_rawblock_malformed_json():

@@ -108,11 +108,22 @@ def test_duplicate_tx_id_rejected():
 def test_rejected_address_leaves_net_unchanged():
     net = PlaceTransitionNet()
     net.record_transaction("c", [], ["A"])
-    for inputs, outputs in ((["A"], [""]), (["B", ""], ["C"])):
-        with pytest.raises(ValueError):
-            net.record_transaction("x", inputs, outputs)
+    for tx_id, inputs, outputs, error in (
+        ("x", ["A"], [""], ValueError),
+        ("x", ["B", ""], ["C"], ValueError),
+        ("x", ["A"], [5], ValueError),
+        ("x", [b"B"], ["C"], ValueError),
+        ("x", ["B"], ["C", None], ValueError),
+        (7, ["A"], ["B"], MalformedTransactionError),
+        (["x"], ["A"], ["B"], MalformedTransactionError),
+    ):
+        with pytest.raises(error):
+            net.record_transaction(tx_id, inputs, outputs)
         assert net.place_names == ["A"]
         assert net.transaction_ids == ["c"]
+    with pytest.raises(ValueError):
+        net.intern_address(5)
+    assert net.place_names == ["A"]
     net.record_transaction("x", ["A"], ["B"])
     net.seal()
     assert net.pre.toarray().tolist() == [[0, 1], [0, 0]]
@@ -389,6 +400,21 @@ def test_snapshot_trailing_data(tmp_path, sample_net):
         load_snapshot(path)
 
 
+def test_failed_save_keeps_destination_and_leaves_no_temporary(tmp_path, sample_net,
+                                                               monkeypatch):
+    path = tmp_path / "net.snapshot"
+    path.write_bytes(b"previous")
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail)
+    with pytest.raises(OSError):
+        sample_net.save_snapshot(path)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["net.snapshot"]
+
+
 def _doc_of(net):
     buffer = io.StringIO()
     net.save_snapshot(buffer)
@@ -414,6 +440,10 @@ def _doc_of(net):
         (lambda d: d["pre"][1].__setitem__(0, True), "pre"),
         (lambda d: d["transitions"].append("t8"), "post"),
         pytest.param(lambda d: d.update(version=True), "version", id="version-true"),
+        pytest.param(lambda d: d.update(places="a1"), "places", id="places-not-array"),
+        pytest.param(lambda d: d.update(pre={}), "pre", id="pre-not-array"),
+        pytest.param(lambda d: d["pre"].__setitem__(0, [0, 0, 1.5]), "pre", id="float-value"),
+        pytest.param(lambda d: d["pre"].__setitem__(0, ["a1", 0, 1]), "pre", id="string-row"),
     ],
 )
 def test_snapshot_corruption_names_section(sample_net, mutate, section):
@@ -516,6 +546,8 @@ def test_snapshot_v2_corruption_names_section(sample_net, mutate, section):
         pytest.param(lambda b: b + b"\0", "document", id="trailing-byte"),
         pytest.param(lambda b: b.replace(b"-v2\n", b"-v9\n", 1), "document", id="bad-magic"),
         pytest.param(lambda b: b"\xff" + b, "document", id="not-utf8-not-v2"),
+        pytest.param(lambda b: b"{nope", "document", id="not-json"),
+        pytest.param(lambda b: b"[1]", "document", id="not-an-object"),
         # headers that promise far more data than the file holds; the places
         # blob of the sample ("a1".."a6") is the only 12-element record
         pytest.param(lambda b: b.replace(b"(12,)", b"(10000000,)", 1), "places",
