@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .chains import _disposable_mask
 from .net import PlaceTransitionNet, _label_groups
 
 SIDES = ("pre", "post", "both")
@@ -118,8 +119,11 @@ def top_k_active(net: PlaceTransitionNet, k: int) -> list[tuple[int, int, int]]:
 
 def accumulate_only(net: PlaceTransitionNet) -> set[int]:
     """Places that receive but never spend: empty pre row, non-empty post row."""
-    mask = (net.pre.row_nnz_all() == 0) & (net.post.row_nnz_all() > 0)
-    return set(np.nonzero(mask)[0].tolist())
+    return set(np.flatnonzero(_accumulate_only_mask(net)).tolist())
+
+
+def _accumulate_only_mask(net: PlaceTransitionNet) -> np.ndarray:
+    return (net.pre.row_nnz_all() == 0) & (net.post.row_nnz_all() > 0)
 
 
 def repeated_groups(net: PlaceTransitionNet) -> RepeatGroups:
@@ -167,13 +171,11 @@ def repeat_report(net: PlaceTransitionNet, repeats: RepeatGroups) -> dict:
 
 def summary(net: PlaceTransitionNet) -> SummaryReport:
     """Headline counts for a sealed net."""
-    pre_rows = net.pre.row_nnz_all()
-    post_rows = net.post.row_nnz_all()
     return SummaryReport(
         places=net.num_places,
         transitions=net.num_transitions,
         pre_arcs=net.pre.nnz,
         post_arcs=net.post.nnz,
-        accumulate_only=int(np.count_nonzero((pre_rows == 0) & (post_rows > 0))),
-        disposable=int(np.count_nonzero((pre_rows == 1) & (post_rows == 1))),
+        accumulate_only=int(np.count_nonzero(_accumulate_only_mask(net))),
+        disposable=int(np.count_nonzero(_disposable_mask(net))),
     )

@@ -44,8 +44,11 @@ class Chain:
 
 def disposable_addresses(net: PlaceTransitionNet) -> set[int]:
     """Places with exactly one pre-arc and exactly one post-arc."""
-    mask = (net.pre.row_nnz_all() == 1) & (net.post.row_nnz_all() == 1)
-    return set(np.nonzero(mask)[0].tolist())
+    return set(np.flatnonzero(_disposable_mask(net)).tolist())
+
+
+def _disposable_mask(net: PlaceTransitionNet) -> np.ndarray:
+    return (net.pre.row_nnz_all() == 1) & (net.post.row_nnz_all() == 1)
 
 
 def disposable_transactions(net: PlaceTransitionNet, addresses_d: set[int]) -> DisposableSets:
@@ -144,7 +147,7 @@ def chain_report(net: PlaceTransitionNet, chains: list[Chain]) -> list[dict]:
     tx_ids = net.transaction_ids
     pre = net.pre.tocsc()
     post = net.post.tocsc()
-    disposable = (net.pre.row_nnz_all() == 1) & (net.post.row_nnz_all() == 1)
+    disposable = _disposable_mask(net)
     rows = []
     for chain in chains:
         inputs = pre.indices[pre.indptr[chain.links]]  # each link has one input

@@ -126,8 +126,7 @@ def main(argv=None) -> int:
 
 def _cmd_build(args) -> int:
     conversion = RawBlockReport() if args.format == "rawblock" else None
-    blocks = sorted((_parse(origin, text, conversion) for origin, text in _block_texts(args.inputs)),
-                    key=lambda b: b.height)
+    blocks = sorted(_blocks(args.inputs, conversion), key=lambda b: b.height)
     if not blocks:
         raise _Fail(2, "no input blocks")
 
@@ -254,8 +253,8 @@ def _parse(origin: str, text: str, conversion: RawBlockReport | None):
     return block
 
 
-def _block_texts(inputs):
-    """(origin, text) per block; each file is read when its turn comes, once all inputs exist."""
+def _blocks(inputs, conversion: RawBlockReport | None):
+    """Every input's blocks; each file is read when its turn comes, once all inputs exist."""
     for path in inputs:
         if not os.path.exists(path):
             raise _Fail(3, f"input path does not exist: {path}")
@@ -266,10 +265,18 @@ def _block_texts(inputs):
                 match = _BLOCK_FILE.search(os.path.basename(name))
                 if match:
                     files.append((int(match.group(1)), name))
-            for _, name in sorted(files):
-                yield name, _read_text(name)
+            blocks = (_parse(name, _read_text(name), conversion) for _, name in sorted(files))
         else:
-            yield from _split_stream(path, _read_text(path))
+            text = _read_text(path)
+            try:
+                blocks = [_parse(path, text, conversion)]
+            except _Fail as exc:
+                # text that is not one JSON document is a newline-delimited stream
+                if not isinstance(exc.__cause__, BlockParseError):
+                    raise
+                blocks = (_parse(f"{path}:{n}", line, conversion)
+                          for n, line in enumerate(text.splitlines(), 1) if line.strip())
+        yield from blocks
 
 
 def _read_text(path: str) -> str:
@@ -278,16 +285,6 @@ def _read_text(path: str) -> str:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise _Fail(2, f"{path}: not valid UTF-8 at byte {exc.start}") from exc
-
-
-def _split_stream(origin: str, content: str) -> list[tuple[str, str]]:
-    # A file is either one JSON document or a newline-delimited stream of them.
-    try:
-        json.loads(content)
-        return [(origin, content)]
-    except json.JSONDecodeError:
-        lines = enumerate(content.splitlines(), start=1)
-        return [(f"{origin}:{lineno}", line) for lineno, line in lines if line.strip()]
 
 
 def _load_net(path: str):

@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import PartitionMismatchError
 from .net import (
-    ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _label_groups, _Registry,
+    ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _label_groups, _offsets,
+    _Registry,
 )
 
 
@@ -91,17 +92,24 @@ def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> Ent
         raise ValueError("build_entity_net runs on address-level nets")
     k = _check_partition(partition, net.num_places)
 
-    labels = partition.place_to_entity
-    summed = [
-        SparseIncidence(labels[side.tocsc().indices], side.entry_columns(),
-                        side.tocsc().data, (k, net.num_transitions))
-        for side in sides
-    ]
+    summed = [_sum_rows(side, partition.place_to_entity, k) for side in sides]
     # the entity net shares the address net's transaction registry
     entity_net = PlaceTransitionNet._assemble(
         _Registry([f"e{i}" for i in range(k)]), net._txs, *summed, ENTITY_LEVEL
     )
     return EntityNet(entity_net, partition)
+
+
+def _sum_rows(matrix: SparseIncidence, labels: np.ndarray, k: int) -> SparseIncidence:
+    """The k-row matrix whose row e sums the rows labelled e.  Sorted `column * k + label`
+    keys stay in their column's range; as address-level entries are 1, a sum is its key's
+    run length, and a column's offset counts the runs that start before that range."""
+    csc = matrix.tocsc()
+    keys = np.sort(matrix.entry_columns() * k + labels[csc.indices])
+    first = np.diff(keys, prepend=-1) != 0
+    starts = np.flatnonzero(first)
+    return SparseIncidence(_offsets(first)[csc.indptr], keys[starts] % k,
+                           np.diff(starts, append=len(keys)), (k, matrix.num_cols))
 
 
 def _check_partition(partition: EntityPartition, num_places: int) -> int:

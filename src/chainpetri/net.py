@@ -47,33 +47,30 @@ class SparseIncidence:
     form is derived on request.  Zero entries are never stored.
     """
 
-    def __init__(self, rows, cols, values, shape: tuple[int, int]):
-        """Build from (row, col, value) entries.  Duplicate positions are
-        summed, zero sums are dropped and any other sum must be positive.
-        Entries already in strictly increasing column-major order, as `seal()`
-        and snapshot loads give them, skip the column-major sort and the sum.
-        Raises ValueError naming the first row or column outside `shape`."""
+    def __init__(self, indptr, indices, data, shape: tuple[int, int]):
+        """Check and store a compressed column form: column j holds rows
+        `indices[indptr[j]:indptr[j + 1]]`, strictly rising, with values
+        `data[indptr[j]:indptr[j + 1]]`, each at least 1.  Raises ValueError
+        on a malformed `indptr`, on a row outside `shape` (naming the first),
+        on rows that do not rise within a column and on a value below 1."""
         self.num_rows, self.num_cols = shape
-        rows, cols, data = (np.asarray(a, dtype=np.int64) for a in (rows, cols, values))
-        for index, size, what in ((rows, self.num_rows, "row"), (cols, self.num_cols, "column")):
-            if len(index) and (index.min() < 0 or index.max() >= size):
-                bad = index[(index < 0) | (index >= size)][0]
-                raise ValueError(f"{what} {bad} out of range (0..{size - 1})")
-        key = cols * self.num_rows + rows
-        if np.any(key[1:] <= key[:-1]):
-            order = np.argsort(key)
-            key = key[order]
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
-            data = np.add.reduceat(data[order], starts)
-            cols, rows = np.divmod(key[starts], max(self.num_rows, 1))
-            del order
-        del key
-        nonzero = data != 0
-        rows, cols, data = rows[nonzero], cols[nonzero], data[nonzero]
-        if len(data) and data.min() < 1:
-            raise ValueError("incidence entries must be positive")
-        self._csc = Compressed(_offsets(np.bincount(cols, minlength=self.num_cols)), rows, data)
-        self._row_nnz = np.bincount(rows, minlength=self.num_rows)
+        indptr, indices, data = (np.asarray(a, dtype=np.int64) for a in (indptr, indices, data))
+        nnz = len(indices)
+        if (len(indptr) != self.num_cols + 1 or indptr[0] != 0 or indptr[-1] != nnz
+                or np.any(indptr[1:] < indptr[:-1]) or len(data) != nnz):
+            raise ValueError("indptr must start at 0, not fall and end at nnz == len(data)")
+        if nnz and (indices.min() < 0 or indices.max() >= self.num_rows):
+            bad = indices[(indices < 0) | (indices >= self.num_rows)][0]
+            raise ValueError(f"row {bad} out of range (0..{self.num_rows - 1})")
+        # a row may only fail to rise where its entry starts a column
+        starts = np.zeros(nnz + 1, dtype=bool)
+        starts[indptr] = True
+        if np.any((indices[1:] <= indices[:-1]) & ~starts[1:nnz]):
+            raise ValueError("rows must rise strictly within each column")
+        if nnz and data.min() < 1:
+            raise ValueError("incidence entries must be at least 1")
+        self._csc = Compressed(indptr, indices, data)
+        self._row_nnz = np.bincount(indices, minlength=self.num_rows)
         self._row_nnz.flags.writeable = False
 
     @property
@@ -180,10 +177,8 @@ class PlaceTransitionNet:
     built by row summation may hold larger values.
     """
 
-    def __init__(self, level: str = ADDRESS_LEVEL):
-        if level not in (ADDRESS_LEVEL, ENTITY_LEVEL):
-            raise ValueError(f"unknown net level {level!r}")
-        self._level = level
+    def __init__(self):
+        self._level = ADDRESS_LEVEL
         self._places = _Registry([], {})
         self._txs = _Registry([], {})
         # Build state, dropped by seal(): per side, the row id of every arc in
@@ -199,8 +194,8 @@ class PlaceTransitionNet:
     def _assemble(cls, places: _Registry, txs: _Registry, pre: SparseIncidence,
                   post: SparseIncidence, level: str) -> "PlaceTransitionNet":
         """Build an already-sealed net from finished parts, which it keeps."""
-        net = cls(level=level)
-        net._places, net._txs = places, txs
+        net = cls()
+        net._level, net._places, net._txs = level, places, txs
         net._incidence = {"pre": pre, "post": post}
         net._arcs = net._utxo = None
         return net
@@ -252,11 +247,11 @@ class PlaceTransitionNet:
         """Return the place id for `addr`, allocating the next id if new."""
         if self._arcs is None:
             raise NetSealedError("cannot intern addresses on a sealed net")
+        if not isinstance(addr, str) or not addr:
+            raise ValueError("address must be a non-empty string")
         places = self._places
         idx = places.index.get(addr)
         if idx is None:
-            if not isinstance(addr, str) or not addr:
-                raise ValueError("address must be a non-empty string")
             idx = len(places.names)
             places.index[addr] = idx
             places.names.append(addr)
@@ -307,15 +302,10 @@ class PlaceTransitionNet:
         if self._arcs is not None:
             self._utxo = None
             shape = (self.num_places, self.num_transitions)
-            for side in SIDES:
-                # Free each side's build arrays once its matrix holds a copy,
-                # so that they are gone before the next conversion allocates.
-                rows, offsets = self._arcs.pop(side)
-                cols = np.repeat(np.arange(shape[1]), np.diff(offsets))
-                del offsets
-                self._incidence[side] = SparseIncidence(
-                    rows, cols, np.ones(len(rows), dtype=np.int64), shape
-                )
+            # each matrix keeps its side's build arrays as indptr and indices, uncopied
+            for side, (rows, offsets) in self._arcs.items():
+                ones = np.ones(len(rows), dtype=np.int64)
+                self._incidence[side] = SparseIncidence(offsets, rows, ones, shape)
             self._arcs = None
         return self
 
@@ -438,7 +428,8 @@ def _load(fh) -> PlaceTransitionNet:
     else:
         places, txs = _read_names(fh, "places"), _read_names(fh, "transitions")
         shape = (len(places.names), len(txs.names))
-        pre, post = _read_csc(fh, "pre", shape), _read_csc(fh, "post", shape)
+        pre, post = (_incidence(_read_array(fh, side), _read_array(fh, side), side, shape)
+                     for side in SIDES)
         if fh.read(1):
             raise SnapshotError("trailing data after the last array", "document")
     no_outputs = np.flatnonzero(post.col_nnz_all() == 0)
@@ -514,20 +505,26 @@ def _check_triplets(value, section: str, shape: tuple[int, int]) -> SparseIncide
     rows, cols, vals = trip[:, 0], trip[:, 1], trip[:, 2]
     if np.any(vals != 1):
         raise SnapshotError("address-level entries must all equal 1", section)
-    return _incidence(rows, cols, rows * max(shape[1], 1) + cols, "row then col", section, shape)
-
-
-def _incidence(rows, cols, key, order: str, section: str, shape) -> SparseIncidence:
-    """A binary matrix from entries whose `key` must rise strictly."""
+    if len(cols) and (cols.min() < 0 or cols.max() >= shape[1]):
+        bad = cols[(cols < 0) | (cols >= shape[1])][0]
+        raise SnapshotError(f"column {bad} out of range (0..{shape[1] - 1})", section)
+    key = rows * shape[1] + cols
     if np.any(key[1:] <= key[:-1]):
-        raise SnapshotError(f"entries must be strictly sorted by {order}", section)
+        raise SnapshotError("entries must be strictly sorted by row then col", section)
+    # a stable sort on the column keeps each column's rows rising
+    order = np.argsort(cols, kind="stable")
+    return _incidence(_offsets(np.bincount(cols, minlength=shape[1])), rows[order], section, shape)
+
+
+def _incidence(indptr, rows, section: str, shape) -> SparseIncidence:
+    """A binary matrix from its column form, with any fault as a SnapshotError."""
     try:
-        return SparseIncidence(rows, cols, np.ones(len(rows), dtype=np.int64), shape)
+        return SparseIncidence(indptr, rows, np.ones(len(rows), dtype=np.int64), shape)
     except ValueError as exc:
         raise SnapshotError(str(exc), section) from exc
 
 
-def _read_array(fh, section: str, dtypes: tuple[str, ...]) -> np.ndarray:
+def _read_array(fh, section: str, dtypes: tuple[str, ...] = ("int32", "int64")) -> np.ndarray:
     try:
         array = np.lib.format.read_array(fh, allow_pickle=False)
     except (ValueError, MemoryError) as exc:  # truncated, damaged, pickled, oversized
@@ -539,7 +536,7 @@ def _read_array(fh, section: str, dtypes: tuple[str, ...]) -> np.ndarray:
 
 def _read_names(fh, section: str) -> _Registry:
     blob = _read_array(fh, section, ("uint8",))
-    bounds = _read_array(fh, section, ("int32", "int64"))
+    bounds = _read_array(fh, section)
     if not len(bounds) or bounds[0] != 0 or bounds[-1] != len(blob) or np.any(np.diff(bounds) < 1):
         raise SnapshotError("offsets must start at 0, rise and end at the blob size", section)
     data, bounds = blob.tobytes(), bounds.tolist()
@@ -548,13 +545,3 @@ def _read_names(fh, section: str) -> _Registry:
     except UnicodeDecodeError as exc:
         raise SnapshotError("a name is not valid UTF-8", section) from exc
     return _unique(names, section)
-
-
-def _read_csc(fh, section: str, shape: tuple[int, int]) -> SparseIncidence:
-    indptr = _read_array(fh, section, ("int32", "int64"))
-    rows = _read_array(fh, section, ("int32", "int64"))
-    counts = np.diff(indptr)
-    if len(indptr) != shape[1] + 1 or indptr[0] != 0 or indptr[-1] != len(rows) or np.any(counts < 0):
-        raise SnapshotError("indptr must start at 0, not fall and end at nnz", section)
-    cols = np.repeat(np.arange(shape[1]), counts)
-    return _incidence(rows, cols, cols * shape[0] + rows, "column then row", section, shape)

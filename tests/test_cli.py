@@ -95,6 +95,33 @@ def test_build_ndjson_stream(tmp_path, sample_blocks):
     assert load_snapshot(out).num_transitions == 7
 
 
+@pytest.mark.parametrize("fmt, encode", [("canonical", encode_block), ("rawblock", _rawblock_text)])
+def test_build_decodes_each_single_document_file_once(tmp_path, sample_blocks, monkeypatch,
+                                                      fmt, encode):
+    paths = []
+    for block in sample_blocks:
+        path = tmp_path / f"b{block.height}.json"
+        path.write_text(json.dumps(json.loads(encode(block)), indent=1))  # one document, many lines
+        paths.append(str(path))
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text, **kw: decoded.append(text) or loads(text, **kw))
+    assert main(["build", *paths, "--format", fmt, "--out", str(tmp_path / "net.bin")]) == 0
+    assert sorted(decoded) == sorted(pathlib.Path(p).read_text() for p in paths)
+
+
+@pytest.mark.parametrize("text, origin", [
+    ('{\n"height": -1,\n"transactions": []}', "f.json"),  # schema error in one document
+    ('{"height": 0, "transactions": []}\n\n{"height": 1}\n', "f.json:3"),  # in a stream line
+    ('{"height": 0, "transactions": []}\n{nope\n', "f.json:2"),  # unparseable line
+    ("{nope", "f.json:1"),  # unparseable text
+])
+def test_build_error_names_file_or_stream_line(tmp_path, capsys, text, origin):
+    (tmp_path / "f.json").write_text(text)
+    assert main(["build", str(tmp_path / "f.json"), "--out", str(tmp_path / "net.bin")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / origin}: ")
+
+
 def test_build_directory_with_glob_metacharacters(tmp_path, sample_blocks):
     directory = tmp_path / "run[1]"
     directory.mkdir()

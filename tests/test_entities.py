@@ -175,6 +175,33 @@ def test_column_sums_conserved(batch):
         assert np.array_equal(address_level, entity_level)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_entity_net_matches_dense_oracle(seed):
+    rng = random.Random(4000 + seed)
+    # seed 0 has no transactions and seed 1 one address; the others give
+    # entities two or more addresses on average, so summed entries exceed 1
+    if seed < 2:
+        n_tx, pool_size = 20 * seed, 1
+    else:
+        n_tx, pool_size = rng.randint(10, 60), rng.randint(4, 25)
+    net = build_net(random_transactions(rng, n_tx=n_tx, pool_size=pool_size, max_in=4))
+    k = rng.randint(1, max(net.num_places // 2, 1)) if net.num_places else 0
+    labels = np.array([rng.randrange(k) for _ in range(net.num_places - k)] + list(range(k)),
+                      dtype=np.int64)
+    rng.shuffle(labels)
+    indicator = np.zeros((net.num_places, k), dtype=np.int64)
+    indicator[np.arange(net.num_places), labels] = 1
+    entity_net = build_entity_net(net, EntityPartition(labels)).net
+    assert entity_net.place_names == [f"e{i}" for i in range(k)]
+    for side in ("pre", "post"):
+        expected = indicator.T @ net.incidence(side).toarray()
+        assert np.array_equal(entity_net.incidence(side).toarray(), expected)
+        assert np.array_equal(entity_net.incidence(side).row_nnz_all(),
+                              np.count_nonzero(expected, axis=1))
+    if seed >= 2:
+        assert entity_net.post.toarray().max() > 1  # summed multiplicities occur
+
+
 def test_partition_mismatch_rejected(sample_net):
     m = sample_net.num_places
     wrong_length = np.zeros(m - 1, dtype=np.int64)

@@ -121,8 +121,9 @@ def test_rejected_address_leaves_net_unchanged():
             net.record_transaction(tx_id, inputs, outputs)
         assert net.place_names == ["A"]
         assert net.transaction_ids == ["c"]
-    with pytest.raises(ValueError):
-        net.intern_address(5)
+    for addr in (5, ["a"], b"a", ""):
+        with pytest.raises(ValueError):
+            net.intern_address(addr)
     assert net.place_names == ["A"]
     net.record_transaction("x", ["A"], ["B"])
     net.seal()
@@ -150,59 +151,59 @@ def test_same_address_on_both_sides():
 def test_incidence_matches_dense_oracle(seed):
     rng = np.random.default_rng(seed)
     shape = [(0, 0), (0, 4), (5, 0), (1, 1), (6, 9), (40, 25)][seed % 6]
-    if seed >= 12:
-        # presorted, as seal() and snapshot loads pass them: unique positions
-        # in strictly increasing column-major order, some values 0
-        cols, rows = np.nonzero(rng.random(shape[::-1]) < 0.6)
-        values = rng.integers(0, 4, len(rows))
-    else:
-        rows, cols, values = [], [], []
-        if shape[0] and shape[1]:
-            n = int(rng.integers(0, 3 * shape[0] * shape[1] + 1))
-            rows += rng.integers(0, shape[0], n).tolist()  # positions repeat
-            cols += rng.integers(0, shape[1], n).tolist()
-            values += rng.integers(1, 4, n).tolist()
-            for r, c, v in zip(rng.integers(0, shape[0], 5), rng.integers(0, shape[1], 5),
-                               rng.integers(1, 4, 5)):
-                rows += [r, r]  # a pair that cancels unless the position repeats
-                cols += [c, c]
-                values += [v, -v]
-        order = rng.permutation(len(rows))
-        rows, cols, values = (np.array(a, dtype=np.int64)[order] for a in (rows, cols, values))
-    oracle = np.zeros(shape, dtype=np.int64)
-    np.add.at(oracle, (rows, cols), values)
+    density = [0.2, 0.6, 1.0][seed // 6]
+    oracle = rng.integers(1, 5, shape) * (rng.random(shape) < density)
+    # the column form of the dense oracle
+    cols, rows = np.nonzero(oracle.T)
+    indptr = np.r_[0, np.cumsum(np.count_nonzero(oracle, axis=0))]
 
-    inc = SparseIncidence(rows, cols, values, shape)
+    inc = SparseIncidence(indptr, rows, oracle[rows, cols], shape)
     assert np.array_equal(inc.toarray(), oracle)
-    r, c = np.nonzero(oracle)
-    assert inc.triplets() == np.column_stack([r, c, oracle[r, c]]).tolist()
-    assert inc.nnz == len(r)
+    assert inc.triplets() == np.column_stack([*np.nonzero(oracle), oracle[oracle > 0]]).tolist()
+    assert inc.nnz == len(rows)
+    assert np.array_equal(inc.entry_columns(), cols)
     assert np.array_equal(inc.row_nnz_all(), np.count_nonzero(oracle, axis=1))
     assert np.array_equal(inc.col_nnz_all(), np.count_nonzero(oracle, axis=0))
     for form, dense in ((inc.tocsr(), oracle), (inc.tocsc(), oracle.T)):
-        assert form.indptr[0] == 0 and form.indptr[-1] == len(r)
+        assert form.indptr[0] == 0 and form.indptr[-1] == len(rows)
         for line in range(dense.shape[0]):
             lo, hi = form.indptr[line], form.indptr[line + 1]
-            assert np.all(np.diff(form.indices[lo:hi]) > 0)
             assert np.array_equal(form.indices[lo:hi], np.flatnonzero(dense[line]))
             assert np.array_equal(form.data[lo:hi], dense[line][form.indices[lo:hi]])
     for row in range(shape[0]):
-        cols, vals = inc.row_entries(row)
-        assert np.array_equal(cols, np.flatnonzero(oracle[row]))
-        assert np.array_equal(vals, oracle[row][cols])
+        assert inc.row_nnz(row) == np.count_nonzero(oracle[row])
+        found, vals = inc.row_entries(row)
+        assert np.array_equal(found, np.flatnonzero(oracle[row]))
+        assert np.array_equal(vals, oracle[row][found])
+    for col in range(shape[1]):
+        found, vals = inc.column_entries(col)
+        assert np.array_equal(found, np.flatnonzero(oracle[:, col]))
+        assert np.array_equal(vals, oracle[found, col])
 
 
-def test_incidence_zero_and_negative_sums():
-    inc = SparseIncidence([0, 1, 0], [1, 0, 1], [2, 1, -2], (2, 2))
-    assert inc.triplets() == [[1, 0, 1]]
-    assert inc.row_entries(0)[0].tolist() == [] and inc.column_entries(1)[0].tolist() == []
-    with pytest.raises(ValueError, match="must be positive"):
-        SparseIncidence([0, 0, 1], [1, 1, 0], [1, -2, 1], (2, 2))
-    # entries outside the shape, with the index the error must name
-    for rows, cols, named in (([0, 2], [1, 0], "row 2"), ([0, 1], [1, 2], "column 2"),
-                              ([-1, 0], [0, 1], "row -1"), ([1, 0], [0, -1], "column -1")):
-        with pytest.raises(ValueError, match=f"^{named} out of range"):
-            SparseIncidence(rows, cols, [1, 1], (2, 2))
+def test_incidence_rejects_malformed_column_form():
+    # 3x3: column 0 holds rows 0 and 2, column 1 nothing, column 2 row 1;
+    # rows may fall where a column starts
+    indptr, rows, values = [0, 2, 2, 3], [0, 2, 1], [1, 2, 1]
+    assert SparseIncidence(indptr, rows, values, (3, 3)).triplets() == [
+        [0, 0, 1], [1, 2, 1], [2, 0, 2]]
+    for bad_indptr, bad_rows, bad_values, match in (
+        ([0, 2, 3], rows, values, "^indptr"),  # one entry short
+        ([0, 2, 2, 3, 3], rows, values, "^indptr"),  # one entry long
+        ([1, 2, 2, 3], rows, values, "^indptr"),  # does not start at 0
+        ([0, 2, 1, 3], rows, values, "^indptr"),  # falls
+        ([0, 2, 2, 2], rows, values, "^indptr"),  # ends below nnz
+        ([0, 2, 2, 4], rows, values, "^indptr"),  # ends above nnz
+        (indptr, [0, 3, 1], values, "^row 3 out of range"),
+        (indptr, [-1, 2, 1], values, "^row -1 out of range"),
+        (indptr, [2, 0, 1], values, "rise strictly"),  # falls inside column 0
+        (indptr, [2, 2, 1], values, "rise strictly"),  # repeats inside column 0
+        (indptr, rows, [1, 0, 1], "at least 1"),
+        (indptr, rows, [1, 1, -2], "at least 1"),
+        (indptr, rows, [1, 1], "^indptr"),  # fewer values than rows
+    ):
+        with pytest.raises(ValueError, match=match):
+            SparseIncidence(bad_indptr, bad_rows, bad_values, (3, 3))
 
 
 # -- row/column queries --------------------------------------------------------
