@@ -26,6 +26,7 @@ from .chains import (
     chain_report,
     disposable_addresses,
     disposable_transactions,
+    write_chain_report,
 )
 from .entities import (
     EntityNet,
@@ -34,6 +35,7 @@ from .entities import (
     compute_entities,
     cyclic_transitions,
     entity_report,
+    write_entity_report,
 )
 from .errors import (
     BlockOrderingError,
@@ -115,4 +117,6 @@ __all__ = [
     "repeated_groups",
     "summary",
     "top_k_active",
+    "write_chain_report",
+    "write_entity_report",
 ]

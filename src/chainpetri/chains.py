@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainIntegrityError
-from .net import PlaceTransitionNet
+from .net import PlaceTransitionNet, _json_strings, _offsets, _split, _write_json_rows
 
 
 @dataclass
@@ -143,22 +143,58 @@ def chain_report(net: PlaceTransitionNet, chains: list[Chain]) -> list[dict]:
     Addresses are the disposable path: each link's input plus the last
     link's disposable outputs.
     """
-    names = net.place_names
+    path, bounds = _chain_paths(net, chains)
+    paths = _split(list(map(net.place_names.__getitem__, path.tolist())), bounds)
     tx_ids = net.transaction_ids
-    pre = net.pre.tocsc()
-    post = net.post.tocsc()
-    disposable = _disposable_mask(net)
-    rows = []
-    for chain in chains:
-        inputs = pre.indices[pre.indptr[chain.links]]  # each link has one input
-        last = chain.links[-1]
-        outputs = post.indices[post.indptr[last]:post.indptr[last + 1]]
-        path = inputs.tolist() + outputs[disposable[outputs]].tolist()
-        rows.append(
-            {
-                "length": len(chain.links),
-                "transactions": [tx_ids[t] for t in chain.links],
-                "addresses": [names[p] for p in path],
-            }
-        )
-    return rows
+    return [
+        {
+            "length": len(chain.links),
+            "transactions": [tx_ids[t] for t in chain.links],
+            "addresses": addresses,
+        }
+        for chain, addresses in zip(chains, paths)
+    ]
+
+
+_ROW = ('  {\n    "length": %d,\n    "transactions": [\n      %s\n    ],\n'
+        '    "addresses": [\n      %s\n    ]\n  }')
+
+
+def write_chain_report(fh, net: PlaceTransitionNet, chains: list[Chain]):
+    """Write `chain_report(net, chains)` to the text stream `fh` as
+    `json.dump(rows, fh, indent=2, ensure_ascii=False)` and a newline would,
+    in writes of bounded size."""
+    path, bounds = _chain_paths(net, chains)
+    names, tx_ids = net.place_names, net.transaction_ids
+
+    def rows(lo, hi):
+        addresses = _json_strings(names, path[bounds[lo]:bounds[hi]].tolist())
+        local = (bounds[lo:hi + 1] - bounds[lo]).tolist()
+        return [_ROW % (len(chain.links), ",\n      ".join(_json_strings(tx_ids, chain.links)),
+                        ",\n      ".join(addresses[start:end]))
+                for chain, start, end in zip(chains[lo:hi], local, local[1:])]
+
+    lengths = np.fromiter(map(len, chains), np.int64, len(chains))
+    _write_json_rows(fh, lengths + np.diff(bounds), rows)
+
+
+def _chain_paths(net: PlaceTransitionNet, chains: list[Chain]) -> tuple[np.ndarray, np.ndarray]:
+    """Each chain's disposable path: every link's input (a chain link has one),
+    then the last link's disposable outputs.  Chain i's path is
+    `path[bounds[i]:bounds[i + 1]]`.  Returns (path, bounds)."""
+    pre, post = net.pre.tocsc(), net.post.tocsc()
+    lengths = np.fromiter(map(len, chains), np.int64, len(chains))
+    links = np.array([t for chain in chains for t in chain.links], dtype=np.int64)
+    last = links[_offsets(lengths)[1:] - 1]
+    # every output entry of each last link, then the disposable ones
+    first = post.indptr[last]
+    counts = post.indptr[last + 1] - first
+    entries = np.arange(counts.sum()) + np.repeat(first - _offsets(counts)[:-1], counts)
+    outputs = post.indices[entries]
+    keep = _disposable_mask(net)[outputs]
+    chain_ids = np.arange(len(chains))
+    owner = np.concatenate([np.repeat(chain_ids, lengths), np.repeat(chain_ids, counts)[keep]])
+    path = np.concatenate([pre.indices[pre.indptr[links]], outputs[keep]])
+    # a stable sort on the owning chain puts each chain's outputs after its inputs
+    return (path[np.argsort(owner, kind="stable")],
+            _offsets(np.bincount(owner, minlength=len(chains))))

@@ -152,11 +152,10 @@ def _cmd_build(args) -> int:
 def _cmd_entities(args) -> int:
     net = _load_net(args.snapshot)
     partition = entities_mod.compute_entities(net)
-    rows = entities_mod.entity_report(partition, net)
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "entities.json"), rows, args)
-    print(f"{len(rows)} entities over {net.num_places} addresses",
-          file=sys.stderr)
+    with open(os.path.join(args.out, "entities.json"), "w", encoding="utf-8") as fh:
+        count = entities_mod.write_entity_report(fh, partition, net)
+    print(f"{count} entities over {net.num_places} addresses", file=sys.stderr)
     return 0
 
 
@@ -165,9 +164,9 @@ def _cmd_chains(args) -> int:
     disposable = chains_mod.disposable_addresses(net)
     sets = chains_mod.disposable_transactions(net, disposable)
     found = chains_mod.build_chains(net, sets)
-    rows = chains_mod.chain_report(net, found)
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "chains.json"), rows, args)
+    with open(os.path.join(args.out, "chains.json"), "w", encoding="utf-8") as fh:
+        chains_mod.write_chain_report(fh, net, found)
     totals = {
         "chains_total": len(found),
         "chains_length_ge_2": sum(1 for c in found if len(c.links) >= 2),
@@ -302,8 +301,8 @@ def _analysis_net(args):
     return net
 
 
-def _write_json(path: str, payload, args):
-    if isinstance(payload, dict) and not args.no_timestamp:
+def _write_json(path: str, payload: dict, args):
+    if not args.no_timestamp:
         payload = {
             **payload,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),

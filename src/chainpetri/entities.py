@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import PartitionMismatchError
 from .net import (
-    ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _label_groups, _offsets,
-    _Registry,
+    ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _json_strings,
+    _label_groups, _offsets, _Registry, _split, _write_json_rows,
 )
 
 
@@ -149,10 +149,41 @@ def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
 
 def entity_report(partition: EntityPartition, net: PlaceTransitionNet) -> list[dict]:
     """Report rows sorted by descending size, ties by entity index."""
+    order, bounds, members = _ranked_members(partition)
+    groups = _split(list(map(net.place_names.__getitem__, members.tolist())), bounds)
+    return [{"entity": index, "size": len(group), "addresses": group}
+            for index, group in zip(order.tolist(), groups)]
+
+
+_ROW = '  {\n    "entity": %d,\n    "size": %d,\n    "addresses": [\n      %s\n    ]\n  }'
+_EMPTY_ROW = '  {\n    "entity": %d,\n    "size": 0,\n    "addresses": []\n  }'
+
+
+def write_entity_report(fh, partition: EntityPartition, net: PlaceTransitionNet) -> int:
+    """Write `entity_report(partition, net)` to the text stream `fh` as
+    `json.dump(rows, fh, indent=2, ensure_ascii=False)` and a newline would,
+    in writes of bounded size; returns the number of entities."""
+    order, bounds, members = _ranked_members(partition)
+    names = net.place_names
+
+    def rows(lo, hi):
+        encoded = _json_strings(names, members[bounds[lo]:bounds[hi]].tolist())
+        local = (bounds[lo:hi + 1] - bounds[lo]).tolist()
+        return [_ROW % (index, end - start, ",\n      ".join(encoded[start:end]))
+                if end > start else _EMPTY_ROW % index
+                for index, start, end in zip(order[lo:hi].tolist(), local, local[1:])]
+
+    _write_json_rows(fh, np.diff(bounds), rows)
+    return len(order)
+
+
+def _ranked_members(partition: EntityPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The report order of the entities (descending size, ties by entity index),
+    and their member places, ascending within each entity: entity `order[r]`
+    holds `members[bounds[r]:bounds[r + 1]]`.  Returns (order, bounds, members)."""
     labels = partition.place_to_entity
-    order = np.argsort(-np.bincount(labels), kind="stable")
+    sizes = np.bincount(labels)
+    order = np.argsort(-sizes, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    groups = _label_groups(rank[labels], 0, net.place_names)
-    return [{"entity": index, "size": len(names), "addresses": names}
-            for index, names in zip(order.tolist(), groups)]
+    return order, _offsets(sizes[order]), np.argsort(rank[labels], kind="stable")

@@ -11,6 +11,7 @@ import io
 import json
 import os
 from array import array
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
 import numpy as np
@@ -134,16 +135,45 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def _label_groups(labels: np.ndarray, min_size: int, items=None) -> list[list]:
-    """The ids (as items[id] when `items` is given) carrying each label,
-    ascending, in label order; labels held by fewer than `min_size` ids are left out."""
+def _label_groups(labels: np.ndarray, min_size: int) -> list[list[int]]:
+    """The ids carrying each label, ascending, in label order; labels held by
+    fewer than `min_size` ids are left out."""
     sizes = np.bincount(labels)
     keep = sizes >= min_size
     members = np.argsort(labels, kind="stable")[np.repeat(keep, sizes)].tolist()
-    if items is not None:
-        members = list(map(items.__getitem__, members))
-    bounds = _offsets(sizes[keep]).tolist()
-    return [members[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return _split(members, _offsets(sizes[keep]))
+
+
+def _split(items: list, bounds: np.ndarray) -> list[list]:
+    """`items[bounds[i]:bounds[i + 1]]` for each i."""
+    bounds = bounds.tolist()
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+# strings per write of `_write_json_rows`, each row counting as one more: bounds
+# the text held at once
+_STRINGS_PER_WRITE = 8192
+
+
+def _write_json_rows(fh, sizes: np.ndarray, rows):
+    """Write report rows as `json.dump(rows, fh, indent=2, ensure_ascii=False)` and a
+    newline would.  Row i holds `sizes[i]` strings.  Each `fh.write` takes as many
+    of the next rows as `_STRINGS_PER_WRITE` allows, and at least one.  `rows(lo, hi)`
+    returns the texts of rows lo..hi-1, each an object indented by one level."""
+    ends = _offsets(sizes + 1)
+    count, lo = len(ends) - 1, 0
+    if not count:
+        fh.write("[]\n")
+    while lo < count:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _STRINGS_PER_WRITE, "right")) - 1)
+        fh.write(("[\n" if lo == 0 else ",\n") + ",\n".join(rows(lo, hi))
+                 + ("\n]\n" if hi == count else ""))
+        lo = hi
+
+
+def _json_strings(items: list[str], ids: list[int]) -> list[str]:
+    """`items[id]` for each id as a JSON string literal, as `ensure_ascii=False` writes it."""
+    return list(map(encode_basestring, map(items.__getitem__, ids)))
 
 
 def _check_index(index: int, size: int, what: str):
