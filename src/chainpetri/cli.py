@@ -295,7 +295,7 @@ def _load_net(path: str):
 
 def _analysis_net(args):
     net = _load_net(args.snapshot)
-    if getattr(args, "level", "address") == "entity":
+    if args.level == "entity":
         partition = entities_mod.compute_entities(net)
         net = entities_mod.build_entity_net(net, partition).net
     return net

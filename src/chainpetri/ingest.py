@@ -89,6 +89,27 @@ def _require_addr_list(value, what: str, tx_id: str) -> list[str]:
     return value
 
 
+def _require_utf8(records: list[TransactionRecord]) -> list[TransactionRecord]:
+    # a JSON escape such as "\ud800" decodes to a lone surrogate, which UTF-8
+    # cannot encode and so no snapshot can store; one join checks the block
+    names = []
+    for tx in records:
+        names.append(tx.tx_id)
+        names += tx.inputs
+        names += tx.outputs
+    try:
+        "".join(names).encode()
+    except UnicodeEncodeError:
+        for tx in records:
+            try:
+                "".join([tx.tx_id, *tx.inputs, *tx.outputs]).encode()
+            except UnicodeEncodeError:
+                raise BlockValidationError(
+                    "tx id or address is not encodable as UTF-8 (lone surrogate)", tx.tx_id
+                ) from None
+    return records
+
+
 def parse_block(json_text: str) -> Block:
     """Parse canonical block JSON; field order irrelevant, unknown fields ignored."""
     try:
@@ -118,7 +139,7 @@ def parse_block(json_text: str) -> Block:
         if not outputs:
             raise BlockValidationError("outputs must be non-empty", tx_id)
         records.append(TransactionRecord(tx_id, list(inputs), list(outputs)))
-    return Block(height, records)
+    return Block(height, _require_utf8(records))
 
 
 def encode_block(block: Block) -> str:
@@ -189,7 +210,7 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
             continue
         report.transactions += 1
         records.append(TransactionRecord(tx_id, inputs, outputs))
-    return Block(height, records), report
+    return Block(height, _require_utf8(records)), report
 
 
 def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:

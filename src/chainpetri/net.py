@@ -2,13 +2,12 @@
 
 Addresses become places, transactions become transitions.  Construction is
 single-writer (intern/record); `seal()` freezes the net, after which every
-query is read-only and safe to share across threads.
+query is read-only and safe to share across threads.  A sealed address net
+persists as one binary snapshot format (`save_snapshot`/`load_snapshot`).
 """
 
 from __future__ import annotations
 
-import io
-import json
 import os
 from array import array
 from json.encoder import encode_basestring
@@ -24,7 +23,6 @@ from .errors import (
     SnapshotError,
 )
 
-SNAPSHOT_VERSION = 1
 SNAPSHOT_MAGIC = b"chainpetri-snapshot-v2\n"
 
 ADDRESS_LEVEL = "address"
@@ -123,12 +121,6 @@ class SparseIncidence:
         dense = np.zeros((self.num_rows, self.num_cols), dtype=np.int64)
         dense[self._csc.indices, self.entry_columns()] = self._csc.data
         return dense
-
-    def triplets(self) -> list[list[int]]:
-        """All entries as [row, col, value] sorted by row then col."""
-        csr = self.tocsr()
-        rows = np.repeat(np.arange(self.num_rows), self._row_nnz)
-        return np.column_stack([rows, csr.indices, csr.data]).tolist()
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -356,29 +348,18 @@ class PlaceTransitionNet:
             raise NetNotSealedError("incidence matrices exist only on a sealed net")
         return self._incidence[side]
 
-    # row_nnz, column_places and utxo_count also answer during construction,
-    # from the build state, so that ingest can check inputs as it goes.
-
     def row_nnz(self, side: str, place: int) -> int:
         """Number of distinct transitions connected to `place` on `side`."""
-        if self._arcs is None:
-            return self.incidence(side).row_nnz(place)
-        _check_side(side)
-        _check_index(place, self.num_places, "row")
-        return self._arcs[side][0].count(place)
+        return self.incidence(side).row_nnz(place)
 
     def column_places(self, side: str, transition: int) -> set[int]:
         """Places with a nonzero entry in the transition's column on `side`."""
-        if self._arcs is None:
-            rows, _ = self.incidence(side).column_entries(transition)
-            return set(rows.tolist())
-        _check_side(side)
-        _check_index(transition, self.num_transitions, "column")
-        rows, offsets = self._arcs[side]
-        return set(rows[offsets[transition]:offsets[transition + 1]])
+        rows, _ = self.incidence(side).column_entries(transition)
+        return set(rows.tolist())
 
     def utxo_count(self, place: int) -> int:
-        """Receives minus spends under the binary model (address nets only)."""
+        """Receives minus spends under the binary model (address nets only); the one
+        query that also answers while the net builds, as strict ingest needs."""
         if self._level != ADDRESS_LEVEL:
             raise ValueError("utxo_count is defined on address-level nets only")
         if self._arcs is None:
@@ -394,22 +375,13 @@ class PlaceTransitionNet:
     # -- snapshot persistence -----------------------------------------------
 
     def save_snapshot(self, destination):
-        """Write the net (sealed address nets only): binary v2 to a path or a
-        binary stream, JSON v1 to a text stream."""
+        """Write the net (sealed address nets only) as a binary v2 snapshot to
+        a path, replaced atomically, or to a binary stream."""
         if not self.sealed:
             raise NetNotSealedError("snapshots require a sealed net")
         if self._level != ADDRESS_LEVEL:
             raise ValueError("snapshots are defined for address-level nets only")
-        if isinstance(destination, io.TextIOBase):
-            doc = {
-                "version": SNAPSHOT_VERSION,
-                "places": self._places.names,
-                "transitions": self._txs.names,
-                "pre": self.pre.triplets(),
-                "post": self.post.triplets(),
-            }
-            json.dump(doc, destination, ensure_ascii=False, separators=(",", ":"))
-        elif hasattr(destination, "write"):
+        if hasattr(destination, "write"):
             self._write_v2(destination)
         else:
             tmp = f"{destination}.tmp"
@@ -442,8 +414,9 @@ class PlaceTransitionNet:
 def load_snapshot(source) -> PlaceTransitionNet:
     """Load a snapshot written by `save_snapshot`; returns a sealed net.
 
-    Binary v2 is told from JSON v1 by its magic line.  Raises SnapshotError
-    naming the offending section on any corruption.
+    `source` is a path or a binary stream holding a v2 snapshot.  Raises
+    SnapshotError naming the offending section on any corruption, and section
+    `document` when the magic line is missing.
     """
     if hasattr(source, "read"):
         return _load(source)
@@ -452,98 +425,20 @@ def load_snapshot(source) -> PlaceTransitionNet:
 
 
 def _load(fh) -> PlaceTransitionNet:
-    head = fh.read(len(SNAPSHOT_MAGIC))
-    if head != SNAPSHOT_MAGIC:
-        places, txs, pre, post = _parse_v1(head + fh.read())
-    else:
-        places, txs = _read_names(fh, "places"), _read_names(fh, "transitions")
-        shape = (len(places.names), len(txs.names))
-        pre, post = (_incidence(_read_array(fh, side), _read_array(fh, side), side, shape)
-                     for side in SIDES)
-        if fh.read(1):
-            raise SnapshotError("trailing data after the last array", "document")
+    if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
+        raise SnapshotError("not a chainpetri v2 snapshot: no magic line", "document")
+    places, txs = _read_names(fh, "places"), _read_names(fh, "transitions")
+    shape = (len(places.names), len(txs.names))
+    pre, post = (_incidence(_read_array(fh, side), _read_array(fh, side), side, shape)
+                 for side in SIDES)
+    if fh.read(1):
+        raise SnapshotError("trailing data after the last array", "document")
     no_outputs = np.flatnonzero(post.col_nnz_all() == 0)
     if len(no_outputs):
         raise SnapshotError(
             f"transition {txs.names[no_outputs[0]]!r} has no post arcs", "post"
         )
     return PlaceTransitionNet._assemble(places, txs, pre, post, ADDRESS_LEVEL)
-
-
-def _parse_v1(text):
-    try:
-        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except UnicodeDecodeError as exc:
-        raise SnapshotError(f"not valid UTF-8 at byte {exc.start}", "document") from exc
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"not a valid JSON document: {exc.msg}", "document") from exc
-
-    if not isinstance(doc, dict):
-        raise SnapshotError("top level must be an object", "document")
-    expected = {"version", "places", "transitions", "pre", "post"}
-    missing = expected - doc.keys()
-    if missing:
-        raise SnapshotError(f"missing field(s) {sorted(missing)}", "document")
-    extra = doc.keys() - expected
-    if extra:
-        raise SnapshotError(f"unexpected field(s) {sorted(extra)}", "document")
-    # bool is an int subclass and True == 1, so compare the type exactly
-    if type(doc["version"]) is not int or doc["version"] != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"unsupported version {doc['version']!r} (expected {SNAPSHOT_VERSION})",
-            "version",
-        )
-
-    places = _check_names(doc["places"], "places")
-    txs = _check_names(doc["transitions"], "transitions")
-    shape = (len(places.names), len(txs.names))
-    pre, post = (_check_triplets(doc[side], side, shape) for side in SIDES)
-    return places, txs, pre, post
-
-
-def _check_names(value, section: str) -> _Registry:
-    if not isinstance(value, list):
-        raise SnapshotError("must be an array", section)
-    for name in value:
-        if not isinstance(name, str) or not name:
-            raise SnapshotError(f"invalid entry {name!r}", section)
-    return _unique(value, section)
-
-
-def _unique(names: list[str], section: str) -> _Registry:
-    # a set costs half as much as the name -> id dict, which waits for a lookup
-    if len(set(names)) != len(names):
-        raise SnapshotError("entries are not unique", section)
-    return _Registry(names)
-
-
-def _check_triplets(value, section: str, shape: tuple[int, int]) -> SparseIncidence:
-    if not isinstance(value, list):
-        raise SnapshotError("must be an array of [row, col, value]", section)
-    if not value:
-        trip = np.empty((0, 3), dtype=np.int64)
-    else:
-        try:
-            trip = np.array(value)
-        except ValueError as exc:
-            raise SnapshotError("ragged triplet array", section) from exc
-        if trip.ndim != 2 or trip.shape[1] != 3 or trip.dtype.kind != "i":
-            raise SnapshotError("entries must be integer [row, col, value] triplets", section)
-        # numpy reads JSON true/false as 1/0 when they are mixed with integers
-        if bool in {type(x) for entry in value for x in entry}:
-            raise SnapshotError("entries must be integers, not booleans", section)
-    rows, cols, vals = trip[:, 0], trip[:, 1], trip[:, 2]
-    if np.any(vals != 1):
-        raise SnapshotError("address-level entries must all equal 1", section)
-    if len(cols) and (cols.min() < 0 or cols.max() >= shape[1]):
-        bad = cols[(cols < 0) | (cols >= shape[1])][0]
-        raise SnapshotError(f"column {bad} out of range (0..{shape[1] - 1})", section)
-    key = rows * shape[1] + cols
-    if np.any(key[1:] <= key[:-1]):
-        raise SnapshotError("entries must be strictly sorted by row then col", section)
-    # a stable sort on the column keeps each column's rows rising
-    order = np.argsort(cols, kind="stable")
-    return _incidence(_offsets(np.bincount(cols, minlength=shape[1])), rows[order], section, shape)
 
 
 def _incidence(indptr, rows, section: str, shape) -> SparseIncidence:
@@ -574,4 +469,7 @@ def _read_names(fh, section: str) -> _Registry:
         names = [data[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
     except UnicodeDecodeError as exc:
         raise SnapshotError("a name is not valid UTF-8", section) from exc
-    return _unique(names, section)
+    # a set costs half as much as the name -> id dict, which waits for a lookup
+    if len(set(names)) != len(names):
+        raise SnapshotError("entries are not unique", section)
+    return _Registry(names)

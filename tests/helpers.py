@@ -7,6 +7,7 @@ checked against a second, unrelated route.
 
 from __future__ import annotations
 
+import io
 import random
 from collections import Counter
 
@@ -22,6 +23,38 @@ def build_net(transactions, seal=True) -> PlaceTransitionNet:
     if seal:
         net.seal()
     return net
+
+
+# v2 snapshot records in file order
+PLACES, PLACE_OFFSETS, TXS, TX_OFFSETS, PRE_PTR, PRE_ROWS, POST_PTR, POST_ROWS = range(8)
+
+
+def v2_bytes(net) -> bytes:
+    buffer = io.BytesIO()
+    net.save_snapshot(buffer)
+    return buffer.getvalue()
+
+
+def v2_split(data: bytes):
+    """The magic line and the eight arrays of a v2 snapshot."""
+    magic, rest = data.split(b"\n", 1)
+    stream = io.BytesIO(rest)
+    return magic + b"\n", [np.lib.format.read_array(stream) for _ in range(8)]
+
+
+def v2_join(magic: bytes, records) -> bytes:
+    buffer = io.BytesIO()
+    buffer.write(magic)
+    for record in records:
+        np.lib.format.write_array(buffer, np.asanyarray(record), allow_pickle=True)
+    return buffer.getvalue()
+
+
+def v2_set_names(records, at: int, names):
+    """Replace the name blob at record `at` and its offsets after it."""
+    encoded = [name.encode("utf-8") for name in names]
+    records[at] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    records[at + 1] = np.cumsum([0] + [len(e) for e in encoded])
 
 
 def dense_replay(transactions):

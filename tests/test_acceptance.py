@@ -208,26 +208,25 @@ def test_criterion_7():
         assert sum(len(b.transactions) for b in blocks) <= 100_000 + 64
         net, _ = ingest(blocks)
         spots = rng.sample(range(net.num_transitions), k=min(50, net.num_transitions))
-        # JSON v1 through a text stream, binary v2 through a byte stream
-        for buffer in (io.StringIO(), io.BytesIO()):
-            net.save_snapshot(buffer)
-            loaded = load_snapshot(type(buffer)(buffer.getvalue()))
+        buffer = io.BytesIO()
+        net.save_snapshot(buffer)
+        loaded = load_snapshot(io.BytesIO(buffer.getvalue()))
 
-            assert summary(loaded) == summary(net)
-            for side in ("pre", "post", "both"):
-                assert np.array_equal(
-                    degree_multiset(loaded, side).counts, degree_multiset(net, side).counts
-                )
-            # column_places equality for every transition, via the compressed
-            # column structures, plus spot checks through the set API
-            for side in ("pre", "post"):
-                a = net.incidence(side).tocsc()
-                b = loaded.incidence(side).tocsc()
-                assert np.array_equal(a.indptr, b.indptr)
-                assert np.array_equal(a.indices, b.indices)
-            for t in spots:
-                assert net.column_places("pre", t) == loaded.column_places("pre", t)
-                assert net.column_places("post", t) == loaded.column_places("post", t)
+        assert summary(loaded) == summary(net)
+        for side in ("pre", "post", "both"):
+            assert np.array_equal(
+                degree_multiset(loaded, side).counts, degree_multiset(net, side).counts
+            )
+        # column_places equality for every transition, via the compressed
+        # column structures, plus spot checks through the set API
+        for side in ("pre", "post"):
+            a = net.incidence(side).tocsc()
+            b = loaded.incidence(side).tocsc()
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+        for t in spots:
+            assert net.column_places("pre", t) == loaded.column_places("pre", t)
+            assert net.column_places("post", t) == loaded.column_places("post", t)
 
 
 PERF_SCRIPT = """

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from chainpetri import PlaceTransitionNet, encode_block, load_snapshot
 from chainpetri.cli import main
 from conftest import SAMPLE_TXS
+from helpers import POST_PTR, POST_ROWS, PRE_PTR, TX_OFFSETS, TXS, v2_join, v2_split
 
 
 @pytest.fixture
@@ -195,6 +196,27 @@ def test_build_rawblock_non_array_field_names_file(tmp_path, capsys, field, valu
     assert "raw.json" in err and "'h1'" in err and field in err
 
 
+@pytest.mark.parametrize("fmt", ["canonical", "rawblock"])
+@pytest.mark.parametrize("tx_id, addr", [("h1", "\ud800x"), ("\udc00h", "B")],
+                         ids=["address", "tx-id"])
+def test_build_lone_surrogate_name_exit_2(tmp_path, capsys, fmt, tx_id, addr):
+    if fmt == "canonical":
+        txs = [{"tx_id": "cb", "inputs": [], "outputs": ["A"]},
+               {"tx_id": tx_id, "inputs": ["A"], "outputs": [addr]}]
+        doc = {"height": 0, "transactions": txs}
+    else:
+        txs = [{"hash": "cb", "inputs": [{}], "out": [{"addr": "A"}]},
+               {"hash": tx_id, "inputs": [{"prev_out": {"addr": "A"}}], "out": [{"addr": addr}]}]
+        doc = {"height": 0, "tx": txs}
+    bad = tmp_path / "block_0.json"
+    bad.write_text(json.dumps(doc))  # the surrogate travels as a JSON escape
+    out = tmp_path / "net.snapshot"
+    assert main(["build", str(bad), "--format", fmt, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "block_0.json" in err and f"transaction {tx_id!r}" in err and "surrogate" in err
+    assert not out.exists()
+
+
 def test_build_duplicate_transaction_names_block(tmp_path, capsys):
     coinbase = {"hash": "cb", "inputs": [{}], "out": [{"addr": "A"}]}
     stream = tmp_path / "raw.ndjson"
@@ -366,17 +388,30 @@ def test_corrupt_snapshot_exit_4(tmp_path, capsys):
     assert main(["stats", str(bad), "--out", str(tmp_path / "out")]) == 4
 
 
+def test_top_on_v1_json_snapshot_exit_4(tmp_path, capsys):
+    # the JSON format that builds wrote before the binary one no longer loads
+    old = tmp_path / "net.json"
+    old.write_text('{"version":1,"places":["A"],"transitions":["c"],"pre":[],"post":[[0,0,1]]}')
+    assert main(["top", str(old)]) == 4
+    assert "document: not a chainpetri v2 snapshot" in capsys.readouterr().err
+
+
+def _add_unposted_transition(records):
+    records[TXS] = np.append(records[TXS], np.frombuffer(b"t-unposted", dtype=np.uint8))
+    records[TX_OFFSETS] = np.append(records[TX_OFFSETS], len(records[TXS]))
+    for ptr in (PRE_PTR, POST_PTR):
+        records[ptr] = np.append(records[ptr], records[ptr][-1])
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [lambda d: d["post"][0].__setitem__(2, True), lambda d: d["transitions"].append("t8")],
+    [lambda r: r.__setitem__(POST_ROWS, r[POST_ROWS].astype(bool)), _add_unposted_transition],
     ids=["bool_arc", "empty_post_column"],
 )
 def test_top_on_invalid_snapshot_exit_4(snapshot, capsys, mutate):
-    text = io.StringIO()  # a text stream gets the JSON v1 document
-    load_snapshot(snapshot).save_snapshot(text)
-    doc = json.loads(text.getvalue())
-    mutate(doc)
-    snapshot.write_text(json.dumps(doc))
+    magic, records = v2_split(snapshot.read_bytes())
+    mutate(records)
+    snapshot.write_bytes(v2_join(magic, records))
     assert main(["top", str(snapshot)]) == 4
     assert "post" in capsys.readouterr().err
 

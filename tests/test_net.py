@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import json
 import random
 
 import numpy as np
@@ -25,7 +24,22 @@ from chainpetri import (
     load_snapshot,
 )
 from conftest import SAMPLE_PRE, SAMPLE_POST, SAMPLE_TXS
-from helpers import build_net, dense_replay
+from helpers import (
+    PLACE_OFFSETS,
+    PLACES,
+    POST_PTR,
+    POST_ROWS,
+    PRE_PTR,
+    PRE_ROWS,
+    TX_OFFSETS,
+    TXS,
+    build_net,
+    dense_replay,
+    v2_bytes,
+    v2_join,
+    v2_set_names,
+    v2_split,
+)
 
 pool = st.sampled_from([f"p{i}" for i in range(9)])
 tx_batches = st.lists(
@@ -159,7 +173,6 @@ def test_incidence_matches_dense_oracle(seed):
 
     inc = SparseIncidence(indptr, rows, oracle[rows, cols], shape)
     assert np.array_equal(inc.toarray(), oracle)
-    assert inc.triplets() == np.column_stack([*np.nonzero(oracle), oracle[oracle > 0]]).tolist()
     assert inc.nnz == len(rows)
     assert np.array_equal(inc.entry_columns(), cols)
     assert np.array_equal(inc.row_nnz_all(), np.count_nonzero(oracle, axis=1))
@@ -185,8 +198,8 @@ def test_incidence_rejects_malformed_column_form():
     # 3x3: column 0 holds rows 0 and 2, column 1 nothing, column 2 row 1;
     # rows may fall where a column starts
     indptr, rows, values = [0, 2, 2, 3], [0, 2, 1], [1, 2, 1]
-    assert SparseIncidence(indptr, rows, values, (3, 3)).triplets() == [
-        [0, 0, 1], [1, 2, 1], [2, 0, 2]]
+    assert SparseIncidence(indptr, rows, values, (3, 3)).toarray().tolist() == [
+        [1, 0, 0], [0, 0, 1], [2, 0, 0]]
     for bad_indptr, bad_rows, bad_values, match in (
         ([0, 2, 3], rows, values, "^indptr"),  # one entry short
         ([0, 2, 2, 3, 3], rows, values, "^indptr"),  # one entry long
@@ -218,6 +231,7 @@ def test_row_nnz_sample(sample_net):
 def test_row_nnz_no_transactions():
     net = PlaceTransitionNet()
     p = net.intern_address("A")
+    net.seal()
     assert net.row_nnz("pre", p) == 0
     assert net.row_nnz("post", p) == 0
 
@@ -249,11 +263,15 @@ def test_bad_side_rejected(sample_net):
         sample_net.row_nnz("sideways", 0)
 
 
-def test_queries_work_before_seal():
+def test_queries_require_seal():
     net = build_net(SAMPLE_TXS, seal=False)
     a2 = net.place_of("a2")
-    assert net.row_nnz("pre", a2) == 2
-    assert net.column_places("pre", net.transition_of("t5")) == {a2, net.place_of("a3")}
+    with pytest.raises(NetNotSealedError):
+        net.row_nnz("pre", a2)
+    with pytest.raises(NetNotSealedError):
+        net.column_places("pre", net.transition_of("t5"))
+    # strict ingest reads the running count while it records
+    assert net.utxo_count(a2) == 1
 
 
 # -- utxo ----------------------------------------------------------------------
@@ -332,10 +350,7 @@ def test_row_column_duality(batch):
 def test_construction_determinism():
     first = build_net(SAMPLE_TXS)
     second = build_net(SAMPLE_TXS)
-    assert first.place_names == second.place_names
-    assert first.transaction_ids == second.transaction_ids
-    assert first.pre.triplets() == second.pre.triplets()
-    assert first.post.triplets() == second.post.triplets()
+    _assert_nets_equal(first, second)
 
 
 # -- snapshots ---------------------------------------------------------------------
@@ -372,16 +387,23 @@ def test_snapshot_round_trip_synthetic():
     blocks, _ = generate_synthetic(config, seed=23)
     assert sum(len(b.transactions) for b in blocks) >= 10_000
     net, _ = ingest(blocks)
-    buffer = io.StringIO()
-    net.save_snapshot(buffer)
-    loaded = load_snapshot(io.StringIO(buffer.getvalue()))
+    loaded = load_snapshot(io.BytesIO(v2_bytes(net)))
     _assert_nets_equal(net, loaded)
 
 
 def test_snapshot_requires_seal():
     net = build_net(SAMPLE_TXS, seal=False)
+    buffer = io.BytesIO()
     with pytest.raises(NetNotSealedError):
-        net.save_snapshot(io.StringIO())
+        net.save_snapshot(buffer)
+    assert buffer.getvalue() == b""
+
+
+def test_snapshot_text_stream_rejected(sample_net):
+    text = io.StringIO()
+    with pytest.raises(TypeError):
+        sample_net.save_snapshot(text)
+    assert text.getvalue() == ""
 
 
 def test_snapshot_truncated_file(tmp_path, sample_net):
@@ -416,76 +438,6 @@ def test_failed_save_keeps_destination_and_leaves_no_temporary(tmp_path, sample_
     assert [p.name for p in tmp_path.iterdir()] == ["net.snapshot"]
 
 
-def _doc_of(net):
-    buffer = io.StringIO()
-    net.save_snapshot(buffer)
-    return json.loads(buffer.getvalue())
-
-
-@pytest.mark.parametrize(
-    "mutate, section",
-    [
-        (lambda d: d.update(version=2), "version"),
-        (lambda d: d.pop("places"), "document"),
-        (lambda d: d.update(extra=1), "document"),
-        (lambda d: d["places"].append("a1"), "places"),
-        (lambda d: d["places"].append(""), "places"),
-        (lambda d: d["transitions"].__setitem__(0, 7), "transitions"),
-        (lambda d: d["pre"].__setitem__(0, [0, 0]), "pre"),
-        (lambda d: d["pre"].__setitem__(0, [0, 0, 2]), "pre"),
-        (lambda d: d["pre"].__setitem__(0, [99, 0, 1]), "pre"),
-        (lambda d: d["pre"].__setitem__(0, [0, 99, 1]), "pre"),
-        (lambda d: d["post"].reverse(), "post"),
-        (lambda d: d["post"].append(d["post"][-1]), "post"),
-        (lambda d: d["post"][0].__setitem__(2, True), "post"),
-        (lambda d: d["pre"][1].__setitem__(0, True), "pre"),
-        (lambda d: d["transitions"].append("t8"), "post"),
-        pytest.param(lambda d: d.update(version=True), "version", id="version-true"),
-        pytest.param(lambda d: d.update(places="a1"), "places", id="places-not-array"),
-        pytest.param(lambda d: d.update(pre={}), "pre", id="pre-not-array"),
-        pytest.param(lambda d: d["pre"].__setitem__(0, [0, 0, 1.5]), "pre", id="float-value"),
-        pytest.param(lambda d: d["pre"].__setitem__(0, ["a1", 0, 1]), "pre", id="string-row"),
-    ],
-)
-def test_snapshot_corruption_names_section(sample_net, mutate, section):
-    doc = _doc_of(sample_net)
-    mutate(doc)
-    with pytest.raises(SnapshotError) as err:
-        load_snapshot(io.StringIO(json.dumps(doc)))
-    assert err.value.section == section
-
-
-# v2 records in file order
-PLACES, PLACE_OFFSETS, TXS, TX_OFFSETS, PRE_PTR, PRE_ROWS, POST_PTR, POST_ROWS = range(8)
-
-
-def _v2_bytes(net) -> bytes:
-    buffer = io.BytesIO()
-    net.save_snapshot(buffer)
-    return buffer.getvalue()
-
-
-def _v2_split(data: bytes):
-    """The magic line and the eight arrays of a v2 snapshot."""
-    magic, rest = data.split(b"\n", 1)
-    stream = io.BytesIO(rest)
-    return magic + b"\n", [np.lib.format.read_array(stream) for _ in range(8)]
-
-
-def _v2_join(magic: bytes, records) -> bytes:
-    buffer = io.BytesIO()
-    buffer.write(magic)
-    for record in records:
-        np.lib.format.write_array(buffer, np.asanyarray(record), allow_pickle=True)
-    return buffer.getvalue()
-
-
-def _names(records, at, names):
-    encoded = [name.encode("utf-8") for name in names]
-    records[at] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    records[at + 1] = np.cumsum([0] + [len(e) for e in encoded])
-
-
 def _reverse(array, lo, hi):
     array[lo:hi] = array[lo:hi][::-1].copy()
 
@@ -501,9 +453,11 @@ def _reverse(array, lo, hi):
         pytest.param(lambda r: r.__setitem__(TX_OFFSETS, np.array([], dtype=np.int64)),
                      "transitions", id="offsets-empty"),
         pytest.param(lambda r: r[PLACES].__setitem__(0, 0xFF), "places", id="bad-utf8"),
-        pytest.param(lambda r: _names(r, PLACES, ["a1", "a2", "a3", "a4", "a5", "a1"]),
+        pytest.param(lambda r: v2_set_names(r, PLACES, ["a1", "", "a3", "a4", "a5", "a6"]),
+                     "places", id="empty-name"),
+        pytest.param(lambda r: v2_set_names(r, PLACES, ["a1", "a2", "a3", "a4", "a5", "a1"]),
                      "places", id="duplicate-place"),
-        pytest.param(lambda r: _names(r, TXS, ["t1"] * 7), "transitions", id="duplicate-tx"),
+        pytest.param(lambda r: v2_set_names(r, TXS, ["t1"] * 7), "transitions", id="duplicate-tx"),
         pytest.param(lambda r: r[PRE_PTR].__setitem__(0, 1), "pre", id="indptr-start"),
         pytest.param(lambda r: r[PRE_PTR].__setitem__(2, 4), "pre", id="indptr-falls"),
         pytest.param(lambda r: r.__setitem__(PRE_ROWS, r[PRE_ROWS][:-1]), "pre", id="indptr-end"),
@@ -514,12 +468,14 @@ def _reverse(array, lo, hi):
         pytest.param(lambda r: _reverse(r[POST_ROWS], 2, 5), "post", id="rows-not-rising"),
         pytest.param(lambda r: r[POST_ROWS].__setitem__(3, r[POST_ROWS][2]), "post",
                      id="row-repeated"),
-        pytest.param(lambda r: (_names(r, TXS, [f"t{i}" for i in range(1, 9)]),
+        pytest.param(lambda r: (v2_set_names(r, TXS, [f"t{i}" for i in range(1, 9)]),
                                 r.__setitem__(PRE_PTR, np.append(r[PRE_PTR], 5)),
                                 r.__setitem__(POST_PTR, np.append(r[POST_PTR], 10))),
                      "post", id="no-post-arc"),
         pytest.param(lambda r: r.__setitem__(PRE_ROWS, r[PRE_ROWS].astype(np.float64)), "pre",
                      id="float-rows"),
+        pytest.param(lambda r: r.__setitem__(PRE_ROWS, r[PRE_ROWS].astype(bool)), "pre",
+                     id="bool-rows"),
         pytest.param(lambda r: r.__setitem__(POST_PTR, r[POST_PTR].astype(np.uint32)), "post",
                      id="unsigned-indptr"),
         pytest.param(lambda r: r.__setitem__(PLACES, r[PLACES].astype(np.int32)), "places",
@@ -532,10 +488,10 @@ def _reverse(array, lo, hi):
     ],
 )
 def test_snapshot_v2_corruption_names_section(sample_net, mutate, section):
-    magic, records = _v2_split(_v2_bytes(sample_net))
+    magic, records = v2_split(v2_bytes(sample_net))
     mutate(records)
     with pytest.raises(SnapshotError) as err:
-        load_snapshot(io.BytesIO(_v2_join(magic, records)))
+        load_snapshot(io.BytesIO(v2_join(magic, records)))
     assert err.value.section == section
 
 
@@ -558,7 +514,7 @@ def test_snapshot_v2_corruption_names_section(sample_net, mutate, section):
     ],
 )
 def test_snapshot_v2_damaged_bytes(sample_net, damage, section):
-    data = _v2_bytes(sample_net)
+    data = v2_bytes(sample_net)
     assert damage(data) != data
     with pytest.raises(SnapshotError) as err:
         load_snapshot(io.BytesIO(damage(data)))
@@ -580,22 +536,19 @@ def _seeded_nets():
 
 
 @pytest.mark.parametrize("net", list(_seeded_nets()))
-def test_snapshot_v1_v2_v1_byte_identical(net):
-    first = io.StringIO()
-    net.save_snapshot(first)
-    v2 = io.BytesIO()
-    load_snapshot(io.StringIO(first.getvalue())).save_snapshot(v2)
-    assert v2.getvalue().startswith(b"chainpetri-snapshot-v2\n")
-    loaded = load_snapshot(io.BytesIO(v2.getvalue()))
+def test_snapshot_v2_load_v2_byte_identical(net):
+    first = v2_bytes(net)
+    assert first.startswith(b"chainpetri-snapshot-v2\n")
+    loaded = load_snapshot(io.BytesIO(first))
     _assert_nets_equal(net, loaded)
     # integer records are int32 while their values fit; int64 loads as well
-    magic, records = _v2_split(v2.getvalue())
+    magic, records = v2_split(first)
     assert {record.dtype.name for record in records} == {"uint8", "int32"}
     wide = [r if r.dtype == np.uint8 else r.astype(np.int64) for r in records]
-    _assert_nets_equal(net, load_snapshot(io.BytesIO(_v2_join(magic, wide))))
-    second = io.StringIO()
-    loaded.save_snapshot(second)
-    assert second.getvalue() == first.getvalue()
+    widened = load_snapshot(io.BytesIO(v2_join(magic, wide)))
+    _assert_nets_equal(net, widened)
+    assert v2_bytes(loaded) == first
+    assert v2_bytes(widened) == first
 
 
 def test_registries_shared_and_looked_up(tmp_path, sample_net):
@@ -603,9 +556,7 @@ def test_registries_shared_and_looked_up(tmp_path, sample_net):
 
     path = tmp_path / "net.snapshot"
     sample_net.save_snapshot(path)
-    text = io.StringIO()
-    sample_net.save_snapshot(text)
-    for net in (sample_net, load_snapshot(path), load_snapshot(io.StringIO(text.getvalue()))):
+    for net in (sample_net, load_snapshot(path), load_snapshot(io.BytesIO(v2_bytes(sample_net)))):
         assert net.place_of("a4") == 3 and net.lookup_place("zz") is None
         assert net.transition_of("t5") == 4
         entity = build_entity_net(net, compute_entities(net)).net
@@ -617,9 +568,7 @@ def test_registries_shared_and_looked_up(tmp_path, sample_net):
 
 def test_snapshot_empty_net():
     net = PlaceTransitionNet().seal()
-    buffer = io.StringIO()
-    net.save_snapshot(buffer)
-    loaded = load_snapshot(io.StringIO(buffer.getvalue()))
+    loaded = load_snapshot(io.BytesIO(v2_bytes(net)))
     assert loaded.num_places == 0
     assert loaded.num_transitions == 0
 
@@ -628,8 +577,10 @@ def test_snapshot_entity_net_rejected(sample_net):
     from chainpetri import build_entity_net, compute_entities
 
     entity_net = build_entity_net(sample_net, compute_entities(sample_net)).net
+    buffer = io.BytesIO()
     with pytest.raises(ValueError):
-        entity_net.save_snapshot(io.StringIO())
+        entity_net.save_snapshot(buffer)
+    assert buffer.getvalue() == b""
 
 
 @settings(max_examples=25)
@@ -637,10 +588,10 @@ def test_snapshot_entity_net_rejected(sample_net):
 def test_snapshot_round_trip_property(batch, rnd):
     txs = _batch_to_txs(batch)
     net = build_net(txs)
-    buffer = io.StringIO()
-    net.save_snapshot(buffer)
-    loaded = load_snapshot(io.StringIO(buffer.getvalue()))
+    data = v2_bytes(net)
+    loaded = load_snapshot(io.BytesIO(data))
     _assert_nets_equal(net, loaded)
+    assert v2_bytes(loaded) == data
     if net.num_transitions:
         t = rnd.randrange(net.num_transitions)
         assert net.column_places("pre", t) == loaded.column_places("pre", t)
