@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chains import _disposable_mask
-from .net import PlaceTransitionNet, _label_groups
+from .net import PlaceTransitionNet, _label_groups, _offsets, _split
 
 SIDES = ("pre", "post", "both")
 
@@ -165,7 +165,8 @@ def repeat_report(net: PlaceTransitionNet, repeats: RepeatGroups) -> dict:
         "group_count": repeats.group_count,
         "repetition_count": repeats.repetition_count,
         "repetition_fraction": repeats.fraction,
-        "groups": [[net.tx_id_of(t) for t in group] for group in repeats.groups],
+        "groups": _split(net.tx_ids_of([t for group in repeats.groups for t in group]),
+                         _offsets(np.fromiter(map(len, repeats.groups), np.int64))),
     }
 
 

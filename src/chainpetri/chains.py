@@ -165,16 +165,19 @@ def write_chain_report(fh, net: PlaceTransitionNet, chains: list[Chain]):
     `json.dump(rows, fh, indent=2, ensure_ascii=False)` and a newline would,
     in writes of bounded size."""
     path, bounds = _chain_paths(net, chains)
-    names, tx_ids = net.place_names, net.transaction_ids
+    links = [t for chain in chains for t in chain.links]
+    lengths = np.fromiter(map(len, chains), np.int64, len(chains))
+    ends = _offsets(lengths)
 
     def rows(lo, hi):
-        addresses = _json_strings(names, path[bounds[lo]:bounds[hi]].tolist())
-        local = (bounds[lo:hi + 1] - bounds[lo]).tolist()
-        return [_ROW % (len(chain.links), ",\n      ".join(_json_strings(tx_ids, chain.links)),
+        tx_ids = _json_strings(net.tx_ids_of(links[ends[lo]:ends[hi]]))
+        addresses = _json_strings(net.addresses_of(path[bounds[lo]:bounds[hi]].tolist()))
+        tx_at = (ends[lo:hi + 1] - ends[lo]).tolist()
+        at = (bounds[lo:hi + 1] - bounds[lo]).tolist()
+        return [_ROW % (t_end - t_start, ",\n      ".join(tx_ids[t_start:t_end]),
                         ",\n      ".join(addresses[start:end]))
-                for chain, start, end in zip(chains[lo:hi], local, local[1:])]
+                for t_start, t_end, start, end in zip(tx_at, tx_at[1:], at, at[1:])]
 
-    lengths = np.fromiter(map(len, chains), np.int64, len(chains))
     _write_json_rows(fh, lengths + np.diff(bounds), rows)
 
 

@@ -197,9 +197,10 @@ def _cmd_top(args) -> int:
     if args.k < 1:
         raise _Fail(1, "--k must be >= 1")
     net = _load_net(args.snapshot)
+    top = analytics.top_k_active(net, args.k)
     rows = [
-        {"place": p, "address": net.address_of(p), "pre_nnz": pre, "post_nnz": post}
-        for p, pre, post in analytics.top_k_active(net, args.k)
+        {"place": p, "address": address, "pre_nnz": pre, "post_nnz": post}
+        for (p, pre, post), address in zip(top, net.addresses_of([p for p, _, _ in top]))
     ]
     json.dump(rows, sys.stdout, indent=2)
     print()
@@ -274,7 +275,7 @@ def _blocks(inputs, conversion: RawBlockReport | None):
                 if not isinstance(exc.__cause__, BlockParseError):
                     raise
                 blocks = (_parse(f"{path}:{n}", line, conversion)
-                          for n, line in enumerate(text.splitlines(), 1) if line.strip())
+                          for n, line in enumerate(text.split("\n"), 1) if line.strip())
         yield from blocks
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import PartitionMismatchError
 from .net import (
     ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _json_strings,
-    _label_groups, _offsets, _Registry, _split, _write_json_rows,
+    _label_groups, _LabelRegistry, _offsets, _split, _write_json_rows,
 )
 
 
@@ -95,7 +95,7 @@ def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> Ent
     summed = [_sum_rows(side, partition.place_to_entity, k) for side in sides]
     # the entity net shares the address net's transaction registry
     entity_net = PlaceTransitionNet._assemble(
-        _Registry([f"e{i}" for i in range(k)]), net._txs, *summed, ENTITY_LEVEL
+        _LabelRegistry(k), net._txs, *summed, ENTITY_LEVEL
     )
     return EntityNet(entity_net, partition)
 
@@ -164,10 +164,9 @@ def write_entity_report(fh, partition: EntityPartition, net: PlaceTransitionNet)
     `json.dump(rows, fh, indent=2, ensure_ascii=False)` and a newline would,
     in writes of bounded size; returns the number of entities."""
     order, bounds, members = _ranked_members(partition)
-    names = net.place_names
 
     def rows(lo, hi):
-        encoded = _json_strings(names, members[bounds[lo]:bounds[hi]].tolist())
+        encoded = _json_strings(net.addresses_of(members[bounds[lo]:bounds[hi]].tolist()))
         local = (bounds[lo:hi + 1] - bounds[lo]).tolist()
         return [_ROW % (index, end - start, ",\n      ".join(encoded[start:end]))
                 if end > start else _EMPTY_ROW % index

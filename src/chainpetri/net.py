@@ -163,9 +163,23 @@ def _write_json_rows(fh, sizes: np.ndarray, rows):
         lo = hi
 
 
-def _json_strings(items: list[str], ids: list[int]) -> list[str]:
-    """`items[id]` for each id as a JSON string literal, as `ensure_ascii=False` writes it."""
-    return list(map(encode_basestring, map(items.__getitem__, ids)))
+def _json_strings(names: list[str]) -> list[str]:
+    """Each name as a JSON string literal, as `ensure_ascii=False` writes it."""
+    return list(map(encode_basestring, names))
+
+
+def _encodable(name: str) -> bool:
+    """Whether UTF-8, and so a snapshot, can hold the name: not with a lone surrogate."""
+    try:
+        name.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _ones(count: int) -> np.ndarray:
+    """The values of an address-level matrix: a read-only view of one 1."""
+    return np.broadcast_to(np.int64(1), count)
 
 
 def _check_index(index: int, size: int, what: str):
@@ -180,16 +194,81 @@ def _check_side(side: str):
 
 class _Registry:
     """Names in id order plus the name -> id dict, which a net under
-    construction keeps current and any other builds on the first lookup."""
+    construction keeps current and any other registry builds on the first
+    lookup.  Subclasses hold the names in other forms and decode on demand."""
 
     def __init__(self, names: list[str], index: dict[str, int] | None = None):
         self.names = names
         self.index = index
 
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def name(self, i: int) -> str:
+        return self.take([i])[0]
+
+    def take(self, ids: list[int]) -> list[str]:
+        """The names of the ids, in their order; a negative id counts from the
+        end, as a list index does."""
+        return list(map(self.names.__getitem__, ids))
+
+    def all(self) -> list[str]:
+        return self.names
+
     def ids(self) -> dict[str, int]:
         if self.index is None:
-            self.index = {name: i for i, name in enumerate(self.names)}
+            self.index = {name: i for i, name in enumerate(self.all())}
         return self.index
+
+    def encoded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The names as one UTF-8 blob plus the offsets of each name in it."""
+        encoded = [name.encode("utf-8") for name in self.all()]
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        return np.frombuffer(b"".join(encoded), dtype=np.uint8), _offsets(lengths)
+
+
+class _BlobRegistry(_Registry):
+    """The names as a snapshot stores them: one UTF-8 blob, name i at
+    `blob[bounds[i]:bounds[i + 1]]`.  A name is decoded only when asked for,
+    so `all()` decodes every name on each call."""
+
+    def __init__(self, blob: bytes, bounds: np.ndarray):
+        self.blob, self.bounds, self.index = blob, bounds, None
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def take(self, ids: list[int]) -> list[str]:
+        count, ids = len(self), np.asarray(ids, dtype=np.int64)
+        if len(ids) and (ids.min() < -count or ids.max() >= count):
+            raise IndexError(f"name id out of range (0..{count - 1})")
+        ids = np.where(ids < 0, ids + count, ids)
+        blob, bounds = self.blob, self.bounds
+        return [blob[lo:hi].decode()
+                for lo, hi in zip(bounds[ids].tolist(), bounds[ids + 1].tolist())]
+
+    def all(self) -> list[str]:
+        return self.take(np.arange(len(self)))
+
+    def encoded(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.frombuffer(self.blob, dtype=np.uint8), self.bounds
+
+
+class _LabelRegistry(_Registry):
+    """The names `e0` .. `e<count - 1>` of an entity net, formatted when asked for."""
+
+    def __init__(self, count: int):
+        self.count, self.index = count, None
+
+    def __len__(self) -> int:
+        return self.count
+
+    def take(self, ids: list[int]) -> list[str]:
+        labels = range(self.count)
+        return [f"e{labels[i]}" for i in ids]
+
+    def all(self) -> list[str]:
+        return self.take(range(self.count))
 
 
 class PlaceTransitionNet:
@@ -234,22 +313,30 @@ class PlaceTransitionNet:
 
     @property
     def num_places(self) -> int:
-        return len(self._places.names)
+        return len(self._places)
 
     @property
     def num_transitions(self) -> int:
-        return len(self._txs.names)
+        return len(self._txs)
 
     @property
     def place_names(self) -> list[str]:
-        return self._places.names
+        """Every address in place order; a loaded or entity net decodes or
+        formats them all on each access."""
+        return self._places.all()
 
     @property
     def transaction_ids(self) -> list[str]:
-        return self._txs.names
+        """Every transaction id in transition order; a loaded net decodes them
+        all on each access."""
+        return self._txs.all()
 
     def address_of(self, place: int) -> str:
-        return self._places.names[place]
+        return self._places.name(place)
+
+    def addresses_of(self, places: list[int]) -> list[str]:
+        """The addresses of a batch of places, decoding only those."""
+        return self._places.take(places)
 
     def place_of(self, addr: str) -> int:
         return self._places.ids()[addr]
@@ -258,7 +345,11 @@ class PlaceTransitionNet:
         return self._places.ids().get(addr)
 
     def tx_id_of(self, transition: int) -> str:
-        return self._txs.names[transition]
+        return self._txs.name(transition)
+
+    def tx_ids_of(self, transitions: list[int]) -> list[str]:
+        """The transaction ids of a batch of transitions, decoding only those."""
+        return self._txs.take(transitions)
 
     def transition_of(self, tx_id: str) -> int:
         return self._txs.ids()[tx_id]
@@ -269,8 +360,11 @@ class PlaceTransitionNet:
         """Return the place id for `addr`, allocating the next id if new."""
         if self._arcs is None:
             raise NetSealedError("cannot intern addresses on a sealed net")
-        if not isinstance(addr, str) or not addr:
+        if not isinstance(addr, str) or not addr or not _encodable(addr):
             raise ValueError("address must be a non-empty string")
+        return self._intern(addr)
+
+    def _intern(self, addr: str) -> int:
         places = self._places
         idx = places.index.get(addr)
         if idx is None:
@@ -291,15 +385,17 @@ class PlaceTransitionNet:
             raise NetSealedError("cannot record transactions on a sealed net")
         if not outputs:
             raise MalformedTransactionError(f"transaction {tx_id!r} has no outputs")
-        if not isinstance(tx_id, str) or not tx_id:
+        if not isinstance(tx_id, str) or not tx_id or not _encodable(tx_id):
             raise MalformedTransactionError("transaction id must be a non-empty string")
         txs = self._txs
         if tx_id in txs.index:
             raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
         try:
-            "".join(inputs), "".join(outputs)  # TypeError unless every address is a str
+            # TypeError unless every address is a str, UnicodeEncodeError on a
+            # lone surrogate, which a snapshot's UTF-8 cannot hold
+            "".join(inputs).encode(), "".join(outputs).encode()
             valid = all(inputs) and all(outputs)
-        except TypeError:
+        except (TypeError, UnicodeEncodeError):
             valid = False
         if not valid:
             raise ValueError("address must be a non-empty string")
@@ -311,7 +407,7 @@ class PlaceTransitionNet:
         return t
 
     def _append_column(self, side: str, addrs, utxo_delta: int):
-        ids = sorted({self.intern_address(a) for a in addrs})
+        ids = sorted({self._intern(a) for a in addrs})
         rows, offsets = self._arcs[side]
         rows.extend(ids)
         offsets.append(len(rows))
@@ -326,8 +422,7 @@ class PlaceTransitionNet:
             shape = (self.num_places, self.num_transitions)
             # each matrix keeps its side's build arrays as indptr and indices, uncopied
             for side, (rows, offsets) in self._arcs.items():
-                ones = np.ones(len(rows), dtype=np.int64)
-                self._incidence[side] = SparseIncidence(offsets, rows, ones, shape)
+                self._incidence[side] = SparseIncidence(offsets, rows, _ones(len(rows)), shape)
             self._arcs = None
         return self
 
@@ -396,11 +491,7 @@ class PlaceTransitionNet:
     def _write_v2(self, fh):
         # The magic line, then .npy records: each registry as one UTF-8 blob
         # plus offsets, then each side's CSC indptr and indices (values are 1).
-        arrays = []
-        for names in (self._places.names, self._txs.names):
-            encoded = [name.encode("utf-8") for name in names]
-            lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-            arrays += [np.frombuffer(b"".join(encoded), dtype=np.uint8), _offsets(lengths)]
+        arrays = [*self._places.encoded(), *self._txs.encoded()]
         for side in SIDES:
             csc = self.incidence(side).tocsc()
             arrays += [csc.indptr, csc.indices]
@@ -428,7 +519,7 @@ def _load(fh) -> PlaceTransitionNet:
     if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
         raise SnapshotError("not a chainpetri v2 snapshot: no magic line", "document")
     places, txs = _read_names(fh, "places"), _read_names(fh, "transitions")
-    shape = (len(places.names), len(txs.names))
+    shape = (len(places), len(txs))
     pre, post = (_incidence(_read_array(fh, side), _read_array(fh, side), side, shape)
                  for side in SIDES)
     if fh.read(1):
@@ -436,7 +527,7 @@ def _load(fh) -> PlaceTransitionNet:
     no_outputs = np.flatnonzero(post.col_nnz_all() == 0)
     if len(no_outputs):
         raise SnapshotError(
-            f"transition {txs.names[no_outputs[0]]!r} has no post arcs", "post"
+            f"transition {txs.name(no_outputs[0])!r} has no post arcs", "post"
         )
     return PlaceTransitionNet._assemble(places, txs, pre, post, ADDRESS_LEVEL)
 
@@ -444,7 +535,7 @@ def _load(fh) -> PlaceTransitionNet:
 def _incidence(indptr, rows, section: str, shape) -> SparseIncidence:
     """A binary matrix from its column form, with any fault as a SnapshotError."""
     try:
-        return SparseIncidence(indptr, rows, np.ones(len(rows), dtype=np.int64), shape)
+        return SparseIncidence(indptr, rows, _ones(len(rows)), shape)
     except ValueError as exc:
         raise SnapshotError(str(exc), section) from exc
 
@@ -459,17 +550,55 @@ def _read_array(fh, section: str, dtypes: tuple[str, ...] = ("int32", "int64")) 
     return array
 
 
-def _read_names(fh, section: str) -> _Registry:
+def _read_names(fh, section: str) -> _BlobRegistry:
     blob = _read_array(fh, section, ("uint8",))
     bounds = _read_array(fh, section)
     if not len(bounds) or bounds[0] != 0 or bounds[-1] != len(blob) or np.any(np.diff(bounds) < 1):
         raise SnapshotError("offsets must start at 0, rise and end at the blob size", section)
-    data, bounds = blob.tobytes(), bounds.tolist()
-    try:
-        names = [data[lo:hi].decode("utf-8") for lo, hi in zip(bounds, bounds[1:])]
-    except UnicodeDecodeError as exc:
-        raise SnapshotError("a name is not valid UTF-8", section) from exc
-    # a set costs half as much as the name -> id dict, which waits for a lookup
-    if len(set(names)) != len(names):
+    data = blob.tobytes()
+    blob = np.frombuffer(data, dtype=np.uint8)
+    # ASCII is valid UTF-8; otherwise the blob must decode and no name may start
+    # inside a character
+    if blob.max(initial=0) >= 0x80:
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            raise SnapshotError("a name is not valid UTF-8", section) from exc
+        if np.any((blob[bounds[:-1]] & 0xC0) == 0x80):
+            raise SnapshotError("a name is not valid UTF-8", section)
+    if not _names_unique(data, bounds):
         raise SnapshotError("entries are not unique", section)
-    return _Registry(names)
+    return _BlobRegistry(data, bounds)
+
+
+# buckets of at least this many equal-length names are hashed before bytes
+# are compared; the hashing's numpy calls grow with the name length, so the
+# bound keeps them under one per this many bytes of the blob
+_HASHED_BUCKET = 1024
+_FNV_OFFSET, _FNV_PRIME = np.uint64(0xCBF29CE484222325), np.uint64(0x100000001B3)
+
+
+def _names_unique(data: bytes, bounds: np.ndarray) -> bool:
+    """Whether no two names in the blob are equal.  Names are bucketed by length.
+    A large bucket is hashed column by column (FNV-1a) into one uint64 per name,
+    and only names whose hash another name shares are compared as bytes."""
+    blob, lengths = np.frombuffer(data, dtype=np.uint8), np.diff(bounds)
+    # stable, so each bucket reads the blob in ascending order
+    order = np.argsort(lengths, kind="stable")
+    edges = np.flatnonzero(np.diff(lengths[order], prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        starts = bounds[order[lo:hi]]
+        length = int(lengths[order[lo]])
+        if len(starts) >= _HASHED_BUCKET:
+            hashes = np.full(len(starts), _FNV_OFFSET)
+            for column in range(length):
+                hashes ^= blob[starts + column]
+                hashes *= _FNV_PRIME
+            by_hash = np.argsort(hashes)
+            hashes = hashes[by_hash]
+            tie = hashes[1:] == hashes[:-1]
+            starts = starts[by_hash[np.r_[tie, False] | np.r_[False, tie]]]
+        names = [data[at:at + length] for at in starts.tolist()]
+        if len(set(names)) != len(names):
+            return False
+    return True

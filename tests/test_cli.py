@@ -96,6 +96,26 @@ def test_build_ndjson_stream(tmp_path, sample_blocks):
     assert load_snapshot(out).num_transitions == 7
 
 
+@pytest.mark.parametrize("fmt", ["canonical", "rawblock"])
+def test_build_stream_splits_only_at_newlines(tmp_path, fmt):
+    # JSON strings may hold U+2028 and U+0085 raw; str.splitlines breaks lines there
+    addr = "A\u2028B\u0085C"
+    if fmt == "canonical":
+        docs = [{"height": 0, "transactions": [{"tx_id": "cb", "inputs": [], "outputs": [addr]}]},
+                {"height": 1, "transactions": [{"tx_id": "t1", "inputs": [addr], "outputs": ["D"]}]}]
+    else:
+        docs = [{"height": 0, "tx": [{"hash": "cb", "inputs": [{}], "out": [{"addr": addr}]}]},
+                {"height": 1, "tx": [{"hash": "t1", "inputs": [{"prev_out": {"addr": addr}}],
+                                      "out": [{"addr": "D"}]}]}]
+    stream = tmp_path / "s.ndjson"
+    stream.write_text("\n".join(json.dumps(d, ensure_ascii=False) for d in docs) + "\n",
+                      encoding="utf-8")
+    out = tmp_path / "net.bin"
+    assert main(["build", str(stream), "--format", fmt, "--out", str(out)]) == 0
+    net = load_snapshot(out)
+    assert net.place_names == [addr, "D"] and net.transaction_ids == ["cb", "t1"]
+
+
 @pytest.mark.parametrize("fmt, encode", [("canonical", encode_block), ("rawblock", _rawblock_text)])
 def test_build_decodes_each_single_document_file_once(tmp_path, sample_blocks, monkeypatch,
                                                       fmt, encode):

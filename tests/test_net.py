@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import random
 
+import chainpetri.net
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from chainpetri import (
     generate_synthetic,
     ingest,
     load_snapshot,
+    top_k_active,
 )
 from conftest import SAMPLE_PRE, SAMPLE_POST, SAMPLE_TXS
 from helpers import (
@@ -128,14 +131,17 @@ def test_rejected_address_leaves_net_unchanged():
         ("x", ["A"], [5], ValueError),
         ("x", [b"B"], ["C"], ValueError),
         ("x", ["B"], ["C", None], ValueError),
+        ("x", ["A"], ["B\ud800"], ValueError),
+        ("x", ["\udfffB"], ["C"], ValueError),
         (7, ["A"], ["B"], MalformedTransactionError),
         (["x"], ["A"], ["B"], MalformedTransactionError),
+        ("x\ud83d", ["A"], ["B"], MalformedTransactionError),
     ):
         with pytest.raises(error):
             net.record_transaction(tx_id, inputs, outputs)
         assert net.place_names == ["A"]
         assert net.transaction_ids == ["c"]
-    for addr in (5, ["a"], b"a", ""):
+    for addr in (5, ["a"], b"a", "", "\ud800"):
         with pytest.raises(ValueError):
             net.intern_address(addr)
     assert net.place_names == ["A"]
@@ -560,7 +566,7 @@ def test_registries_shared_and_looked_up(tmp_path, sample_net):
         assert net.place_of("a4") == 3 and net.lookup_place("zz") is None
         assert net.transition_of("t5") == 4
         entity = build_entity_net(net, compute_entities(net)).net
-        assert entity.transaction_ids is net.transaction_ids
+        assert entity._txs is net._txs
         assert entity.transition_of("t7") == 6 and entity.tx_id_of(6) == "t7"
         assert entity.place_of("e1") == 1 and entity.lookup_place("a1") is None
         assert entity.address_of(3) == "e3" and entity.place_names == ["e0", "e1", "e2", "e3"]
@@ -571,6 +577,81 @@ def test_snapshot_empty_net():
     loaded = load_snapshot(io.BytesIO(v2_bytes(net)))
     assert loaded.num_places == 0
     assert loaded.num_transitions == 0
+    assert loaded.place_names == [] and loaded.addresses_of([]) == []
+
+
+def test_loaded_names_decode_one_at_a_time_in_batches_and_all():
+    names = ["a", "\u00e4", "\u65e5\u672c", "b\nc", "\U0001f600x", "\x00"]
+    net = build_net([(f"t\u00e9{i}", [], [name]) for i, name in enumerate(names)])
+    loaded = load_snapshot(io.BytesIO(v2_bytes(net)))
+    assert loaded.place_names == names
+    assert loaded.transaction_ids == [f"t\u00e9{i}" for i in range(len(names))]
+    assert [loaded.address_of(p) for p in range(-1, len(names))] == names[-1:] + names
+    assert loaded.tx_id_of(4) == "t\u00e94"
+    assert loaded.addresses_of([4, 0, 4, 2]) == [names[4], names[0], names[4], names[2]]
+    assert loaded.tx_ids_of([5, -5]) == ["t\u00e95", "t\u00e91"]
+    for bad in (len(names), -len(names) - 1):
+        with pytest.raises(IndexError):
+            loaded.address_of(bad)
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["fnv", "every-hash-equal"])
+@pytest.mark.parametrize("count", [3, chainpetri.net._HASHED_BUCKET], ids=["few", "hashed"])
+def test_loaded_names_compared_by_their_bytes(sample_net, monkeypatch, collide, count):
+    if collide:
+        monkeypatch.setattr(chainpetri.net, "_FNV_PRIME", np.uint64(0))
+    base = [f"n{i:06d}" for i in range(count)]
+    # the 8-byte names differ only in their last byte, NUL or "x", and from the
+    # 7-byte names only by one more byte
+    names = base + [name + "\0" for name in base] + [name + "x" for name in base]
+    magic, records = v2_split(v2_bytes(sample_net))
+    v2_set_names(records, PLACES, names)
+    assert load_snapshot(io.BytesIO(v2_join(magic, records))).place_names == names
+    for duplicate in (names[count + 1], names[-1], names[0]):
+        v2_set_names(records, PLACES, names + [duplicate])
+        with pytest.raises(SnapshotError, match="not unique") as err:
+            load_snapshot(io.BytesIO(v2_join(magic, records)))
+        assert err.value.section == "places"
+
+
+def test_snapshot_name_offset_inside_a_character(sample_net):
+    magic, records = v2_split(v2_bytes(sample_net))
+    v2_set_names(records, PLACES, ["\u00e9a", "a2", "a3", "a4", "a5", "a6"])
+    records[PLACE_OFFSETS][1] = 1  # the blob stays valid UTF-8
+    with pytest.raises(SnapshotError, match="a name is not valid UTF-8") as err:
+        load_snapshot(io.BytesIO(v2_join(magic, records)))
+    assert err.value.section == "places"
+
+
+def test_top_of_a_loaded_net_decodes_only_the_names_it_prints(monkeypatch):
+    config = GeneratorConfig(entity_sizes=[3], chain_lengths=[2], fillers=300, block_size=64)
+    net, _ = ingest(generate_synthetic(config, seed=5)[0])
+    decoded = []
+    take = chainpetri.net._BlobRegistry.take
+    monkeypatch.setattr(chainpetri.net._BlobRegistry, "take",
+                        lambda registry, ids: decoded.extend(ids) or take(registry, ids))
+    loaded = load_snapshot(io.BytesIO(v2_bytes(net)))
+    top = [loaded.address_of(p) for p, _, _ in top_k_active(loaded, 10)]
+    assert len(decoded) == 10 and loaded.num_places > 300
+    assert top == [net.address_of(p) for p, _, _ in top_k_active(net, 10)]
+
+
+names_with_surrogates = st.text(st.sampled_from(["a", "\u00e9", "\ud800", "\udc00", "\U0001f600"]),
+                                max_size=3)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.tuples(names_with_surrogates, st.lists(names_with_surrogates, max_size=2),
+                          st.lists(names_with_surrogates, min_size=1, max_size=2)), max_size=8))
+def test_no_recorded_name_fails_the_snapshot_write(txs):
+    net = PlaceTransitionNet()
+    for tx_id, inputs, outputs in txs:
+        try:
+            net.record_transaction(tx_id, inputs, outputs)
+        except (ValueError, MalformedTransactionError, DuplicateTransactionError):
+            pass
+    net.seal()
+    _assert_nets_equal(net, load_snapshot(io.BytesIO(v2_bytes(net))))
 
 
 def test_snapshot_entity_net_rejected(sample_net):

@@ -27,9 +27,10 @@ from chainpetri.cli import main
 from chainpetri.entities import EntityPartition
 from helpers import build_net, random_spend_tree, random_transactions
 
-# names that json escapes, or writes as they are under ensure_ascii=False
+# names that json escapes, or writes as they are under ensure_ascii=False; a net
+# holds no lone surrogate, which UTF-8 cannot encode
 AWKWARD = ['q"uote', "back\\slash", "new\nline", "tab\tcr\r", "\x00nul\x1fus\x7f",
-           "\u2028line\u2029para", "café", "日本", "astral\U0001f600", "lone\ud800"]
+           "\u2028line\u2029para", "café", "日本", "astral\U0001f600"]
 
 
 class _WriteLog:
@@ -61,10 +62,10 @@ def _assert_writers_match(net):
     return partition, chains
 
 
-def _renamed(txs, awkward=AWKWARD):
+def _renamed(txs):
     """The transactions with every address and id made awkward for JSON."""
     def name(text):
-        return awkward[sum(map(ord, text)) % len(awkward)] + text
+        return AWKWARD[sum(map(ord, text)) % len(AWKWARD)] + text
 
     return [(name(t), [name(a) for a in ins], [name(a) for a in outs]) for t, ins, outs in txs]
 
@@ -193,8 +194,7 @@ def test_cli_empty_ledger_writes_empty_arrays(tmp_path):
 
 
 def test_cli_files_match_library_reports(tmp_path):
-    # a lone surrogate cannot be stored in a UTF-8 block file
-    txs = _renamed(random_spend_tree(random.Random(11), n_tx=120), AWKWARD[:-1])
+    txs = _renamed(random_spend_tree(random.Random(11), n_tx=120))
     block = {"height": 0, "transactions": [
         {"tx_id": t, "inputs": ins, "outputs": outs} for t, ins, outs in txs]}
     entities, chains = _cli_reports(tmp_path, json.dumps(block))
