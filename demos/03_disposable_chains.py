@@ -6,6 +6,8 @@ the disposable output of each link reconstructs the chain in execution
 order.
 """
 
+import numpy as np
+
 from chainpetri import (
     GeneratorConfig,
     build_chains,
@@ -33,9 +35,9 @@ print()
 
 disposable = disposable_addresses(net)
 sets = disposable_transactions(net, disposable)
-print(f"{len(disposable)} disposable addresses, "
-      f"{len(sets.transactions_d)} chain-shaped transactions, "
-      f"{len(sets.starts_d)} chain starts")
+print(f"{np.count_nonzero(disposable)} disposable addresses, "
+      f"{np.count_nonzero(sets.transactions_d)} chain-shaped transactions, "
+      f"{np.count_nonzero(sets.starts_d)} chain starts")
 
 chains = build_chains(net, sets)
 print(f"recovered {len(chains)} chains, lengths "

@@ -30,11 +30,11 @@ with tempfile.TemporaryDirectory(prefix="chainpetri-demo-") as tmp:
 
     steps = [
         ["synth", "--config", str(config_path), "--seed", "7", "--out", str(workdir / "blocks")],
-        ["build", str(workdir / "blocks"), "--mode", "strict", "--out", str(workdir / "net.json")],
-        ["entities", str(workdir / "net.json"), "--out", str(workdir / "reports")],
-        ["chains", str(workdir / "net.json"), "--out", str(workdir / "reports")],
-        ["stats", str(workdir / "net.json"), "--out", str(workdir / "reports")],
-        ["stats", str(workdir / "net.json"), "--level", "entity", "--out", str(workdir / "entity-reports")],
+        ["build", str(workdir / "blocks"), "--mode", "strict", "--out", str(workdir / "net.snap")],
+        ["entities", str(workdir / "net.snap"), "--out", str(workdir / "reports")],
+        ["chains", str(workdir / "net.snap"), "--out", str(workdir / "reports")],
+        ["stats", str(workdir / "net.snap"), "--out", str(workdir / "reports")],
+        ["stats", str(workdir / "net.snap"), "--level", "entity", "--out", str(workdir / "entity-reports")],
     ]
 
     for argv in steps:

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .chains import _disposable_mask
+from .chains import disposable_addresses
 from .net import PlaceTransitionNet, _label_groups, _offsets, _split
 
 SIDES = ("pre", "post", "both")
@@ -117,12 +117,8 @@ def top_k_active(net: PlaceTransitionNet, k: int) -> list[tuple[int, int, int]]:
     return [(int(p), int(pre[p]), int(post[p])) for p in order]
 
 
-def accumulate_only(net: PlaceTransitionNet) -> set[int]:
-    """Places that receive but never spend: empty pre row, non-empty post row."""
-    return set(np.flatnonzero(_accumulate_only_mask(net)).tolist())
-
-
-def _accumulate_only_mask(net: PlaceTransitionNet) -> np.ndarray:
+def accumulate_only(net: PlaceTransitionNet) -> np.ndarray:
+    """Mask of the places that receive but never spend (empty pre, non-empty post row)."""
     return (net.pre.row_nnz_all() == 0) & (net.post.row_nnz_all() > 0)
 
 
@@ -177,6 +173,6 @@ def summary(net: PlaceTransitionNet) -> SummaryReport:
         transitions=net.num_transitions,
         pre_arcs=net.pre.nnz,
         post_arcs=net.post.nnz,
-        accumulate_only=int(np.count_nonzero(_accumulate_only_mask(net))),
-        disposable=int(np.count_nonzero(_disposable_mask(net))),
+        accumulate_only=int(np.count_nonzero(accumulate_only(net))),
+        disposable=int(np.count_nonzero(disposable_addresses(net))),
     )

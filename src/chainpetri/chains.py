@@ -19,11 +19,12 @@ from .net import PlaceTransitionNet, _json_strings, _offsets, _split, _write_jso
 
 @dataclass
 class DisposableSets:
-    """Disposable places plus the transitions and chain starts they induce."""
+    """Masks of the disposable places (over places) and of the chain
+    transactions and chain starts they induce (over transitions)."""
 
-    addresses_d: set[int]
-    transactions_d: set[int]
-    starts_d: set[int]
+    addresses_d: np.ndarray
+    transactions_d: np.ndarray
+    starts_d: np.ndarray
 
 
 @dataclass
@@ -42,51 +43,48 @@ class Chain:
         return len(self.links)
 
 
-def disposable_addresses(net: PlaceTransitionNet) -> set[int]:
-    """Places with exactly one pre-arc and exactly one post-arc."""
-    return set(np.flatnonzero(_disposable_mask(net)).tolist())
-
-
-def _disposable_mask(net: PlaceTransitionNet) -> np.ndarray:
+def disposable_addresses(net: PlaceTransitionNet) -> np.ndarray:
+    """Mask of the places with exactly one pre-arc and exactly one post-arc."""
     return (net.pre.row_nnz_all() == 1) & (net.post.row_nnz_all() == 1)
 
 
-def disposable_transactions(net: PlaceTransitionNet, addresses_d: set[int]) -> DisposableSets:
+def disposable_transactions(net: PlaceTransitionNet, addresses_d: np.ndarray) -> DisposableSets:
     """Select the chain transactions and the subset that starts a chain.
 
     A chain transaction has one input (a disposable address) and two
     outputs, at least one disposable.  A start is a chain transaction whose
     funding transaction is not itself a chain transaction.
     """
-    disposable = _mask(net.num_places, list(addresses_d))
-    pre = net.pre.tocsc()
-    post = net.post.tocsc()
-
+    pre, post = net.pre.tocsc(), net.post.tocsc()
     shaped = np.flatnonzero((np.diff(pre.indptr) == 1) & (np.diff(post.indptr) == 2))
     first_out = post.indptr[shaped]
     chain = shaped[
-        disposable[pre.indices[pre.indptr[shaped]]]
-        & (disposable[post.indices[first_out]] | disposable[post.indices[first_out + 1]])
+        addresses_d[pre.indices[pre.indptr[shaped]]]
+        & (addresses_d[post.indices[first_out]] | addresses_d[post.indices[first_out + 1]])
     ]
+    in_chain = np.zeros(net.num_transitions, dtype=bool)
+    in_chain[chain] = True
 
     # the input is disposable, so the only transaction paying it is its funder
-    in_chain = _mask(net.num_transitions, chain)
-    paid_by_chain = _mask(net.num_places, post.indices[in_chain[net.post.entry_columns()]])
-    starts = chain[~paid_by_chain[pre.indices[pre.indptr[chain]]]]
-    return DisposableSets(set(addresses_d), set(chain.tolist()), set(starts.tolist()))
+    paid_by_chain = np.zeros(net.num_places, dtype=bool)
+    paid_by_chain[post.indices[in_chain[net.post.entry_columns()]]] = True
+    starts = np.zeros(net.num_transitions, dtype=bool)
+    starts[chain[~paid_by_chain[pre.indices[pre.indptr[chain]]]]] = True
+    return DisposableSets(addresses_d, in_chain, starts)
 
 
 def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
-    """One chain per start, extended link by link until no successor remains.
+    """One chain per start: the start, then each link's successor in turn.
 
     The successor of a link is the smallest chain transaction spending one
     of its disposable outputs; any other such spender is recorded in the
-    chain's `bypassed`.  Chains are returned sorted by descending length,
-    ties by first link id.  Raises ChainIntegrityError if successors
-    revisit a transaction, which cannot happen on temporally valid input.
+    chain's `bypassed`.  Pointer jumping over the links' predecessors, cut
+    at the starts, gives every link its chain's start and its depth; links
+    that no start reaches (a successor cycle) are dropped.  Chains are
+    returned sorted by descending length, ties by first link id.  Raises
+    ChainIntegrityError unless every chain link's successor is the next
+    link of its own chain, which holds on temporally valid input.
     """
-    disposable = _mask(net.num_places, list(sets.addresses_d))
-    in_chain = _mask(net.num_transitions, list(sets.transactions_d))
     # each place's smallest spender, or num_transitions if nothing spends
     # it; a disposable place has one spender
     spender_of = np.full(net.num_places, net.num_transitions)
@@ -94,9 +92,10 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
 
     # (link, spender) for each disposable output of a chain transaction,
     # spent by a chain transaction
+    in_chain = sets.transactions_d
     link = net.post.entry_columns()
     place = net.post.tocsc().indices
-    keep = in_chain[link] & disposable[place] & (spender_of[place] < net.num_transitions)
+    keep = in_chain[link] & sets.addresses_d[place] & (spender_of[place] < net.num_transitions)
     link, spender = link[keep], spender_of[place[keep]]
     keep = in_chain[spender]
     link, spender = link[keep], spender[keep]
@@ -104,37 +103,47 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
     link, spender = link[order], spender[order]
     smallest = np.ones(len(link), dtype=bool)
     smallest[1:] = link[1:] != link[:-1]
-    successor = dict(zip(link[smallest].tolist(), spender[smallest].tolist()))
-    others: dict[int, list[int]] = {}
-    for t, s in zip(link[~smallest].tolist(), spender[~smallest].tolist()):
-        others.setdefault(t, []).append(s)
 
-    used: set[int] = set()
-    chains = []
-    for start in sorted(sets.starts_d):
-        if start in used:
-            raise ChainIntegrityError(f"start {start} already belongs to a chain")
-        used.add(start)
-        chain = Chain([start])
-        current = start
-        while current in successor:
-            chain.bypassed.extend(others.get(current, ()))
-            current = successor[current]
-            if current in used:
-                raise ChainIntegrityError(
-                    f"transition {current} reached twice; successor cycle"
-                )
-            used.add(current)
-            chain.links.append(current)
-        chains.append(chain)
-    chains.sort(key=lambda c: (-len(c.links), c.links[0]))
-    return chains
+    # the jumping arrays index the chain transactions only
+    ids = np.flatnonzero(in_chain)
+    link = np.searchsorted(ids, link)
+    tails, successor = link[smallest], np.searchsorted(ids, spender[smallest])
+    is_start = sets.starts_d[ids]
+    # each link's predecessor, or itself at a start and where no link chose it;
+    # of two links choosing one successor the smaller is kept
+    root = np.arange(len(ids))
+    chosen, first = np.unique(successor, return_index=True)
+    root[chosen] = tails[first]
+    root[is_start] = np.flatnonzero(is_start)
+    depth = (root != np.arange(len(ids))).astype(np.int64)
+    for _ in range(len(ids).bit_length()):
+        depth += depth[root]
+        root = root[root]
+    # a cycle holds no start, so its links never reach one
+    placed = is_start[root]
+    broken = placed[tails] & ((root[successor] != root[tails])
+                              | (depth[successor] != depth[tails] + 1))
+    if broken.any():
+        raise ChainIntegrityError(f"the successor of transition {ids[tails[broken.argmax()]]} "
+                                  "is not the next link of its chain")
 
+    # chains in report order; a link sits at its chain's offset plus its depth
+    heads = np.flatnonzero(is_start)
+    lengths = np.bincount(root[placed], minlength=len(ids))[heads]
+    ranked = np.lexsort((heads, -lengths))
+    rank = np.zeros(len(ids), dtype=np.int64)
+    rank[heads[ranked]] = np.arange(len(heads))
+    ends = _offsets(lengths[ranked])
+    at = ends[rank[root]] + depth
+    links = np.empty(ends[-1], dtype=np.int64)
+    links[at[placed]] = ids[placed]
 
-def _mask(size: int, index) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    mask[index] = True
-    return mask
+    others = ~smallest & placed[link]
+    bypassed = spender[others]
+    bypassed = bypassed[np.lexsort((bypassed, at[link[others]]))]
+    counts = np.bincount(rank[root[link[others]]], minlength=len(heads))
+    return [Chain(chain_links, spenders) for chain_links, spenders in
+            zip(_split(links.tolist(), ends), _split(bypassed.tolist(), _offsets(counts)))]
 
 
 def chain_report(net: PlaceTransitionNet, chains: list[Chain]) -> list[dict]:
@@ -143,17 +152,10 @@ def chain_report(net: PlaceTransitionNet, chains: list[Chain]) -> list[dict]:
     Addresses are the disposable path: each link's input plus the last
     link's disposable outputs.
     """
-    path, bounds = _chain_paths(net, chains)
-    paths = _split(list(map(net.place_names.__getitem__, path.tolist())), bounds)
-    tx_ids = net.transaction_ids
-    return [
-        {
-            "length": len(chain.links),
-            "transactions": [tx_ids[t] for t in chain.links],
-            "addresses": addresses,
-        }
-        for chain, addresses in zip(chains, paths)
-    ]
+    links, ends, path, bounds = _chain_paths(net, chains)
+    return [{"length": len(tx_ids), "transactions": tx_ids, "addresses": addresses}
+            for tx_ids, addresses in zip(_split(net.tx_ids_of(links.tolist()), ends),
+                                         _split(net.addresses_of(path.tolist()), bounds))]
 
 
 _ROW = ('  {\n    "length": %d,\n    "transactions": [\n      %s\n    ],\n'
@@ -164,13 +166,10 @@ def write_chain_report(fh, net: PlaceTransitionNet, chains: list[Chain]):
     """Write `chain_report(net, chains)` to the text stream `fh` as
     `json.dump(rows, fh, indent=2, ensure_ascii=False)` and a newline would,
     in writes of bounded size."""
-    path, bounds = _chain_paths(net, chains)
-    links = [t for chain in chains for t in chain.links]
-    lengths = np.fromiter(map(len, chains), np.int64, len(chains))
-    ends = _offsets(lengths)
+    links, ends, path, bounds = _chain_paths(net, chains)
 
     def rows(lo, hi):
-        tx_ids = _json_strings(net.tx_ids_of(links[ends[lo]:ends[hi]]))
+        tx_ids = _json_strings(net.tx_ids_of(links[ends[lo]:ends[hi]].tolist()))
         addresses = _json_strings(net.addresses_of(path[bounds[lo]:bounds[hi]].tolist()))
         tx_at = (ends[lo:hi + 1] - ends[lo]).tolist()
         at = (bounds[lo:hi + 1] - bounds[lo]).tolist()
@@ -178,26 +177,28 @@ def write_chain_report(fh, net: PlaceTransitionNet, chains: list[Chain]):
                         ",\n      ".join(addresses[start:end]))
                 for t_start, t_end, start, end in zip(tx_at, tx_at[1:], at, at[1:])]
 
-    _write_json_rows(fh, lengths + np.diff(bounds), rows)
+    _write_json_rows(fh, np.diff(ends) + np.diff(bounds), rows)
 
 
-def _chain_paths(net: PlaceTransitionNet, chains: list[Chain]) -> tuple[np.ndarray, np.ndarray]:
-    """Each chain's disposable path: every link's input (a chain link has one),
-    then the last link's disposable outputs.  Chain i's path is
-    `path[bounds[i]:bounds[i + 1]]`.  Returns (path, bounds)."""
+def _chain_paths(net: PlaceTransitionNet, chains: list[Chain]):
+    """Every chain's links, flat, and each chain's disposable path: every link's
+    input (a chain link has one), then the last link's disposable outputs.
+    Chain i's links are `links[ends[i]:ends[i + 1]]` and its path is
+    `path[bounds[i]:bounds[i + 1]]`.  Returns (links, ends, path, bounds)."""
     pre, post = net.pre.tocsc(), net.post.tocsc()
     lengths = np.fromiter(map(len, chains), np.int64, len(chains))
     links = np.array([t for chain in chains for t in chain.links], dtype=np.int64)
-    last = links[_offsets(lengths)[1:] - 1]
+    ends = _offsets(lengths)
+    last = links[ends[1:] - 1]
     # every output entry of each last link, then the disposable ones
     first = post.indptr[last]
     counts = post.indptr[last + 1] - first
     entries = np.arange(counts.sum()) + np.repeat(first - _offsets(counts)[:-1], counts)
     outputs = post.indices[entries]
-    keep = _disposable_mask(net)[outputs]
+    keep = disposable_addresses(net)[outputs]
     chain_ids = np.arange(len(chains))
     owner = np.concatenate([np.repeat(chain_ids, lengths), np.repeat(chain_ids, counts)[keep]])
     path = np.concatenate([pre.indices[pre.indptr[links]], outputs[keep]])
     # a stable sort on the owning chain puts each chain's outputs after its inputs
-    return (path[np.argsort(owner, kind="stable")],
+    return (links, ends, path[np.argsort(owner, kind="stable")],
             _offsets(np.bincount(owner, minlength=len(chains))))

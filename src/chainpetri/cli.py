@@ -15,6 +15,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import analytics, chains as chains_mod, entities as entities_mod
 from .errors import (
     BlockOrderingError,
@@ -171,8 +173,8 @@ def _cmd_chains(args) -> int:
         "chains_total": len(found),
         "chains_length_ge_2": sum(1 for c in found if len(c.links) >= 2),
         "longest": max((len(c.links) for c in found), default=0),
-        "disposable_addresses": len(disposable),
-        "chain_transactions": len(sets.transactions_d),
+        "disposable_addresses": int(np.count_nonzero(disposable)),
+        "chain_transactions": int(np.count_nonzero(sets.transactions_d)),
     }
     _write_json(os.path.join(args.out, "chains_totals.json"), totals, args)
     print(f"{totals['chains_total']} chains, longest {totals['longest']}", file=sys.stderr)

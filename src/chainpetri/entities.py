@@ -150,7 +150,7 @@ def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
 def entity_report(partition: EntityPartition, net: PlaceTransitionNet) -> list[dict]:
     """Report rows sorted by descending size, ties by entity index."""
     order, bounds, members = _ranked_members(partition)
-    groups = _split(list(map(net.place_names.__getitem__, members.tolist())), bounds)
+    groups = _split(net.addresses_of(members.tolist()), bounds)
     return [{"entity": index, "size": len(group), "addresses": group}
             for index, group in zip(order.tolist(), groups)]
 

@@ -25,6 +25,13 @@ def build_net(transactions, seal=True) -> PlaceTransitionNet:
     return net
 
 
+def mask(size: int, ids) -> np.ndarray:
+    """The boolean mask of `size` entries that holds True at `ids`."""
+    flags = np.zeros(size, dtype=bool)
+    flags[list(ids)] = True
+    return flags
+
+
 # v2 snapshot records in file order
 PLACES, PLACE_OFFSETS, TXS, TX_OFFSETS, PRE_PTR, PRE_ROWS, POST_PTR, POST_ROWS = range(8)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -30,7 +31,7 @@ from chainpetri import (
     top_k_active,
 )
 from conftest import SAMPLE_TXS
-from helpers import build_net, random_spend_tree, walk_chains
+from helpers import build_net, mask, random_spend_tree, walk_chains
 
 
 def _pipeline(net):
@@ -44,24 +45,25 @@ def _pipeline(net):
 def test_sample_disposables(sample_net):
     # a3 and a6 are the only places received exactly once and spent exactly
     # once; a1 receives twice (two coinbases), so it does not qualify
-    names = {sample_net.address_of(p) for p in disposable_addresses(sample_net)}
-    assert names == {"a3", "a6"}
+    disposable = disposable_addresses(sample_net)
+    assert sample_net.addresses_of(np.flatnonzero(disposable).tolist()) == ["a3", "a6"]
 
 
 def test_empty_net():
     net = PlaceTransitionNet().seal()
-    assert disposable_addresses(net) == set()
-    sets = disposable_transactions(net, set())
-    assert sets.transactions_d == set()
-    assert sets.starts_d == set()
+    assert disposable_addresses(net).tolist() == []
+    sets = disposable_transactions(net, np.zeros(0, dtype=bool))
+    assert sets.transactions_d.tolist() == []
+    assert sets.starts_d.tolist() == []
     assert build_chains(net, sets) == []
 
 
 # every analysis of a sealed net; the sealed rule is enforced by the net alone
 SEALED_ONLY = {
     "disposable_addresses": disposable_addresses,
-    "disposable_transactions": lambda net: disposable_transactions(net, set()),
-    "build_chains": lambda net: build_chains(net, DisposableSets(set(), set(), set())),
+    # masks of the wrong size: the sealed check must come first
+    "disposable_transactions": lambda net: disposable_transactions(net, np.zeros(0, dtype=bool)),
+    "build_chains": lambda net: build_chains(net, DisposableSets(*[np.zeros(0, dtype=bool)] * 3)),
     "compute_entities": compute_entities,
     # a partition of the wrong size: the sealed check must come first
     "build_entity_net": lambda net: build_entity_net(net, EntityPartition(np.zeros(0, int))),
@@ -84,8 +86,8 @@ def test_requires_sealed(analysis):
 def test_planted_chain_addresses_found():
     blocks, truth = generate_synthetic(GeneratorConfig(chain_lengths=[6]), seed=3)
     net, _ = ingest(blocks)
-    names = {net.address_of(p) for p in disposable_addresses(net)}
-    assert set(truth.chain_addresses[0]) <= names
+    disposable = disposable_addresses(net)
+    assert disposable[[net.place_of(a) for a in truth.chain_addresses[0]]].all()
 
 
 # -- disposable transactions ------------------------------------------------------
@@ -94,24 +96,24 @@ def test_planted_chain_addresses_found():
 def test_sample_has_no_chain_transactions(sample_net):
     # t3 has three outputs; t5 and t7 have two inputs
     sets = disposable_transactions(sample_net, disposable_addresses(sample_net))
-    assert sets.transactions_d == set()
-    assert sets.starts_d == set()
+    assert not sets.transactions_d.any()
+    assert not sets.starts_d.any()
 
 
 def test_single_chain_sets():
     blocks, _ = generate_synthetic(GeneratorConfig(chain_lengths=[3]), seed=5)
     net, _ = ingest(blocks)
     sets = disposable_transactions(net, disposable_addresses(net))
-    assert len(sets.transactions_d) == 3
-    assert len(sets.starts_d) == 1
-    assert sets.starts_d <= sets.transactions_d
+    assert np.count_nonzero(sets.transactions_d) == 3
+    assert np.count_nonzero(sets.starts_d) == 1
+    assert not (sets.starts_d & ~sets.transactions_d).any()
 
 
 def test_coinbase_only():
     net = build_net([("c1", [], ["A"]), ("c2", [], ["B", "C"])])
     sets = disposable_transactions(net, disposable_addresses(net))
-    assert sets.transactions_d == set()
-    assert sets.starts_d == set()
+    assert sets.transactions_d.tolist() == [False, False]
+    assert sets.starts_d.tolist() == [False, False]
 
 
 # -- chain building ----------------------------------------------------------------
@@ -155,12 +157,12 @@ def test_link_invariant():
     net, _ = ingest(blocks)
     sets, found = _pipeline(net)
     for chain in found:
-        assert chain.links[0] in sets.starts_d
+        assert sets.starts_d[chain.links[0]]
         for earlier, later in zip(chain.links, chain.links[1:]):
             inputs = net.column_places("pre", later)
             assert len(inputs) == 1
             (hop,) = inputs
-            assert hop in sets.addresses_d
+            assert sets.addresses_d[hop]
             assert hop in net.column_places("post", earlier)
 
 
@@ -182,13 +184,13 @@ def _fork_net():
 def test_next_ambiguity_prefers_smaller_id_and_records_bypassed():
     net = _fork_net()
     sets, found = _pipeline(net)
-    assert net.transition_of("take_left") in sets.transactions_d
-    assert net.transition_of("take_right") in sets.transactions_d
+    assert sets.transactions_d[net.transition_of("take_left")]
+    assert sets.transactions_d[net.transition_of("take_right")]
     main = found[0]
     assert [net.tx_id_of(t) for t in main.links] == ["start", "take_left"]
     assert [net.tx_id_of(t) for t in main.bypassed] == ["take_right"]
     # the bypassed branch is not a start (its funder is a chain transaction)
-    assert net.transition_of("take_right") not in sets.starts_d
+    assert not sets.starts_d[net.transition_of("take_right")]
 
 
 def test_doctored_starts_raise_integrity_error():
@@ -197,7 +199,7 @@ def test_doctored_starts_raise_integrity_error():
     doctored = DisposableSets(
         sets.addresses_d,
         sets.transactions_d,
-        sets.starts_d | {net.transition_of("take_left")},
+        sets.starts_d | mask(net.num_transitions, [net.transition_of("take_left")]),
     )
     with pytest.raises(ChainIntegrityError):
         build_chains(net, doctored)
@@ -215,10 +217,12 @@ def test_multiply_spent_place_follows_smallest_spender():
         ]
     )
     t = {name: net.transition_of(name) for name in ("link", "small", "big")}
-    places = {net.place_of("a"), net.place_of("x")}
-    found = build_chains(net, DisposableSets(places, set(t.values()), {t["link"]}))
+    places = mask(net.num_places, [net.place_of("a"), net.place_of("x")])
+    start = mask(net.num_transitions, [t["link"]])
+    found = build_chains(net, DisposableSets(places, mask(net.num_transitions, t.values()), start))
     assert [(c.links, c.bypassed) for c in found] == [([t["link"], t["small"]], [])]
-    found = build_chains(net, DisposableSets(places, {t["link"], t["big"]}, {t["link"]}))
+    chain_tx = mask(net.num_transitions, [t["link"], t["big"]])
+    found = build_chains(net, DisposableSets(places, chain_tx, start))
     assert [(c.links, c.bypassed) for c in found] == [([t["link"]], [])]
 
 
@@ -232,12 +236,47 @@ def test_cycle_guard():
     )
     disposable = disposable_addresses(net)
     sets = disposable_transactions(net, disposable)
-    assert sets.transactions_d == {0, 1}
-    assert sets.starts_d == set()  # a cycle has no start, so no chains
+    assert sets.transactions_d.tolist() == [True, True]
+    assert not sets.starts_d.any()  # a cycle has no start, so no chains
     assert build_chains(net, sets) == []
-    forced = DisposableSets(sets.addresses_d, sets.transactions_d, {0})
+    forced = DisposableSets(sets.addresses_d, sets.transactions_d, mask(2, [0]))
     with pytest.raises(ChainIntegrityError):
         build_chains(net, forced)
+
+    # the same unreached cycle beside a real chain: the chain comes back alone
+    net = build_net(
+        [
+            ("a", ["y"], ["x", "ca"]),
+            ("b", ["x"], ["y", "cb"]),
+            ("fund", [], ["f"]),
+            ("s1", ["f"], ["g", "c1"]),
+            ("s2", ["g"], ["h", "c2"]),
+            ("end", ["h"], ["z"]),
+        ]
+    )
+    sets, found = _pipeline(net)
+    assert sets.transactions_d.tolist() == [True, True, False, True, True, False]
+    assert [(c.links, c.bypassed) for c in found] == [([3, 4], [])]
+
+    # two chain links pay p, which a third link spends; p has two payers, so
+    # only hand-made masks can list it as disposable
+    net = build_net(
+        [
+            ("fa", [], ["a"]),
+            ("fb", [], ["b"]),
+            ("A", ["a"], ["p", "ca"]),
+            ("B", ["b"], ["p", "cb"]),
+            ("C", ["p"], ["z1", "z2"]),
+        ]
+    )
+    links = [net.transition_of(name) for name in ("A", "B", "C")]
+    hand_made = DisposableSets(
+        mask(net.num_places, [net.place_of(name) for name in ("a", "b", "p")]),
+        mask(net.num_transitions, links),
+        mask(net.num_transitions, links[:2]),
+    )
+    with pytest.raises(ChainIntegrityError):
+        build_chains(net, hand_made)
 
 
 def test_build_chains_deterministic():
@@ -268,18 +307,24 @@ def test_report_sorted_by_descending_length():
 
 
 def test_chains_match_walk_oracle():
-    forks = 0
-    for seed in range(20):
+    forks = disordered = 0
+    for seed, shuffled in itertools.product(range(20), (False, True)):
         rng = random.Random(4000 + seed)
-        net = build_net(random_spend_tree(rng, n_tx=rng.randint(1, 150)))
+        txs = random_spend_tree(rng, n_tx=rng.randint(1, 150))
+        if shuffled:
+            # recorded out of spending order, so links run against id order
+            rng.shuffle(txs)
+        net = build_net(txs)
         sets, found = _pipeline(net)
         chain_tx, starts, expected = walk_chains(net.pre.toarray(), net.post.toarray())
-        assert sets.transactions_d == chain_tx
-        assert sets.starts_d == starts
+        assert np.array_equal(sets.transactions_d, mask(net.num_transitions, chain_tx))
+        assert np.array_equal(sets.starts_d, mask(net.num_transitions, starts))
         assert [(c.links, c.bypassed) for c in found] == [(l, b) for l, b, _ in expected]
         rows = chain_report(net, found)
         assert [r["addresses"] for r in rows] == [
             [net.address_of(p) for p in path] for _, _, path in expected
         ]
         forks += sum(len(c.bypassed) for c in found)
+        disordered += sum(c.links != sorted(c.links) for c in found)
     assert forks > 0  # the seeded trees do exercise the smaller-id rule
+    assert disordered > 0  # and the shuffled ones chains out of id order
