@@ -3,7 +3,10 @@
 Two wire formats are understood: the canonical block schema
 (``{"height": .., "transactions": [{"tx_id", "inputs", "outputs"}, ..]}``)
 and the blockchain.info-style rawblock subset handled by
-`convert_rawblock`.
+`convert_rawblock`.  Both parsers share one prologue (JSON decode, object
+and height checks) and check the shape of each transaction themselves.
+Whether a tx id or address is a name is the net's rule (`net.are_names`),
+which each parser applies once per block.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .errors import (
     BlockValidationError,
     DuplicateTransactionError,
 )
-from .net import PlaceTransitionNet
+from .net import NAME_RULE, PlaceTransitionNet, are_names
 
 LAX = "lax"
 STRICT = "strict"
@@ -60,86 +63,65 @@ class IngestReport:
         return asdict(self)
 
 
-def _require_int(value, what: str, tx_id: str | None = None) -> int:
-    # bool is an int subclass; a JSON true/false here is a schema violation
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BlockValidationError(f"{what} must be an integer", tx_id)
-    return value
-
-
-def _require_height(doc: dict) -> int:
-    if "height" not in doc:
-        raise BlockValidationError("missing field 'height'")
-    height = _require_int(doc["height"], "height")
-    if height < 0:
-        raise BlockValidationError("height must be non-negative")
-    return height
-
-
-def _require_list(value, what: str, tx_id: str) -> list:
-    if not isinstance(value, list):
-        raise BlockValidationError(f"{what} must be an array", tx_id)
-    return value
-
-
-def _require_addr_list(value, what: str, tx_id: str) -> list[str]:
-    for addr in _require_list(value, what, tx_id):
-        if not isinstance(addr, str) or not addr:
-            raise BlockValidationError(f"{what} contains a non-address entry {addr!r}", tx_id)
-    return value
-
-
-def _require_utf8(records: list[TransactionRecord]) -> list[TransactionRecord]:
-    # a JSON escape such as "\ud800" decodes to a lone surrogate, which UTF-8
-    # cannot encode and so no snapshot can store; one join checks the block
-    names = []
-    for tx in records:
-        names.append(tx.tx_id)
-        names += tx.inputs
-        names += tx.outputs
-    try:
-        "".join(names).encode()
-    except UnicodeEncodeError:
-        for tx in records:
-            try:
-                "".join([tx.tx_id, *tx.inputs, *tx.outputs]).encode()
-            except UnicodeEncodeError:
-                raise BlockValidationError(
-                    "tx id or address is not encodable as UTF-8 (lone surrogate)", tx.tx_id
-                ) from None
-    return records
-
-
-def parse_block(json_text: str) -> Block:
-    """Parse canonical block JSON; field order irrelevant, unknown fields ignored."""
+def _block_document(json_text: str) -> tuple[dict, int]:
+    """The prologue both block formats share: decode the JSON, which must be
+    an object holding a non-negative integer height."""
     try:
         doc = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise BlockParseError(exc.msg, exc.pos) from exc
     if not isinstance(doc, dict):
         raise BlockValidationError("block must be a JSON object")
-    height = _require_height(doc)
-    if "transactions" not in doc:
-        raise BlockValidationError("missing field 'transactions'")
-    txs_doc = doc["transactions"]
+    height = doc.get("height")
+    # bool is an int subclass; a JSON true/false here is a schema violation
+    if isinstance(height, bool) or not isinstance(height, int) or height < 0:
+        raise BlockValidationError("'height' must be a non-negative integer")
+    return doc, height
+
+
+def _require_list(value, what: str, tx_id) -> list:
+    if not isinstance(value, list):
+        raise BlockValidationError(f"{what} must be an array", tx_id)
+    return value
+
+
+def _require_names(records: list[TransactionRecord]) -> list[TransactionRecord]:
+    """Refuse a block unless every tx id and address in it is a name by the
+    net's one rule, naming the first transaction that holds one that is not.
+    A valid block costs one check of all its names together."""
+    names = []
+    for tx in records:
+        names.append(tx.tx_id)
+        names += tx.inputs
+        names += tx.outputs
+    if not are_names(names):
+        for tx in records:
+            if not are_names([tx.tx_id, *tx.inputs, *tx.outputs]):
+                raise BlockValidationError(f"tx id and addresses must be {NAME_RULE}", tx.tx_id)
+    return records
+
+
+def parse_block(json_text: str) -> Block:
+    """Parse canonical block JSON; field order irrelevant, unknown fields ignored."""
+    doc, height = _block_document(json_text)
+    txs_doc = doc.get("transactions")
     if not isinstance(txs_doc, list):
-        raise BlockValidationError("'transactions' must be an array")
+        raise BlockValidationError("missing or invalid field 'transactions'")
 
     records = []
     for tx in txs_doc:
         if not isinstance(tx, dict):
             raise BlockValidationError("transaction entry must be an object")
         tx_id = tx.get("tx_id")
-        if not isinstance(tx_id, str) or not tx_id:
-            raise BlockValidationError("missing or empty 'tx_id'")
         if "inputs" not in tx or "outputs" not in tx:
             raise BlockValidationError("missing 'inputs' or 'outputs'", tx_id)
-        inputs = _require_addr_list(tx["inputs"], "inputs", tx_id)
-        outputs = _require_addr_list(tx["outputs"], "outputs", tx_id)
+        inputs = _require_list(tx["inputs"], "inputs", tx_id)
+        outputs = _require_list(tx["outputs"], "outputs", tx_id)
         if not outputs:
             raise BlockValidationError("outputs must be non-empty", tx_id)
+        # copies hold no spare capacity, which json's growing lists keep
         records.append(TransactionRecord(tx_id, list(inputs), list(outputs)))
-    return Block(height, _require_utf8(records))
+    return Block(height, _require_names(records))
 
 
 def encode_block(block: Block) -> str:
@@ -163,13 +145,7 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
     are all skipped is dropped whole (the canonical schema forbids empty
     output lists) and counted in ``skipped_transactions``.
     """
-    try:
-        doc = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise BlockParseError(exc.msg, exc.pos) from exc
-    if not isinstance(doc, dict):
-        raise BlockValidationError("rawblock must be a JSON object")
-    height = _require_height(doc)
+    doc, height = _block_document(json_text)
     if "tx" not in doc or not isinstance(doc["tx"], list):
         raise BlockValidationError("missing or invalid field 'tx'")
 
@@ -179,8 +155,6 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
         if not isinstance(tx, dict):
             raise BlockValidationError("rawblock tx entry must be an object")
         tx_id = tx.get("hash")
-        if not isinstance(tx_id, str) or not tx_id:
-            raise BlockValidationError("rawblock tx missing 'hash'")
 
         inputs = []
         for entry in _require_list(tx.get("inputs", []), "inputs", tx_id):
@@ -206,11 +180,13 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
                 report.skipped_outputs += 1
 
         if not outputs:
+            # dropped, so its addresses go unchecked, but its hash must still be a name
+            _require_names([TransactionRecord(tx_id, [], [])])
             report.skipped_transactions += 1
             continue
         report.transactions += 1
         records.append(TransactionRecord(tx_id, inputs, outputs))
-    return Block(height, _require_utf8(records)), report
+    return Block(height, _require_names(records)), report
 
 
 def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:

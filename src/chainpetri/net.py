@@ -42,8 +42,9 @@ class Compressed(NamedTuple):
 class SparseIncidence:
     """Immutable sparse positive-integer matrix with row and column iteration.
 
-    Stores one compressed column form plus the per-row entry counts; the row
-    form is derived on request.  Zero entries are never stored.
+    Stores one compressed column form, whose arrays are read-only, plus the
+    per-row entry counts; the row form is derived on request.  Zero entries
+    are never stored.
     """
 
     def __init__(self, indptr, indices, data, shape: tuple[int, int]):
@@ -70,7 +71,8 @@ class SparseIncidence:
             raise ValueError("incidence entries must be at least 1")
         self._csc = Compressed(indptr, indices, data)
         self._row_nnz = np.bincount(indices, minlength=self.num_rows)
-        self._row_nnz.flags.writeable = False
+        for stored in (*self._csc, self._row_nnz):
+            stored.flags.writeable = False
 
     @property
     def nnz(self) -> int:
@@ -115,6 +117,7 @@ class SparseIncidence:
         return Compressed(_offsets(self._row_nnz), cols[order], csc.data[order])
 
     def tocsc(self) -> Compressed:
+        """The stored column form itself; its arrays are read-only."""
         return self._csc
 
     def toarray(self) -> np.ndarray:
@@ -168,13 +171,20 @@ def _json_strings(names: list[str]) -> list[str]:
     return list(map(encode_basestring, names))
 
 
-def _encodable(name: str) -> bool:
-    """Whether UTF-8, and so a snapshot, can hold the name: not with a lone surrogate."""
+# the rule of `are_names` in words, for the errors that refuse a name
+NAME_RULE = "a non-empty string that UTF-8 can encode (no lone surrogate)"
+
+
+def are_names(values) -> bool:
+    """Whether every value can name a place or a transition: a non-empty str
+    that UTF-8, and so a snapshot, can encode, which a lone surrogate bars.
+    The one rule for names; one join checks the whole batch."""
     try:
-        name.encode()
-    except UnicodeEncodeError:
+        # TypeError unless every value is a str, UnicodeEncodeError on a lone surrogate
+        "".join(values).encode()
+    except (TypeError, UnicodeEncodeError):
         return False
-    return True
+    return all(values)
 
 
 def _ones(count: int) -> np.ndarray:
@@ -213,7 +223,8 @@ class _Registry:
         return list(map(self.names.__getitem__, ids))
 
     def all(self) -> list[str]:
-        return self.names
+        """Every name in id order, as a fresh list."""
+        return self.names.copy()
 
     def ids(self) -> dict[str, int]:
         if self.index is None:
@@ -222,7 +233,7 @@ class _Registry:
 
     def encoded(self) -> tuple[np.ndarray, np.ndarray]:
         """The names as one UTF-8 blob plus the offsets of each name in it."""
-        encoded = [name.encode("utf-8") for name in self.all()]
+        encoded = [name.encode("utf-8") for name in self.names]
         lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
         return np.frombuffer(b"".join(encoded), dtype=np.uint8), _offsets(lengths)
 
@@ -321,14 +332,14 @@ class PlaceTransitionNet:
 
     @property
     def place_names(self) -> list[str]:
-        """Every address in place order; a loaded or entity net decodes or
-        formats them all on each access."""
+        """Every address in place order, as a fresh list on each access; a
+        loaded or entity net decodes or formats them all to make it."""
         return self._places.all()
 
     @property
     def transaction_ids(self) -> list[str]:
-        """Every transaction id in transition order; a loaded net decodes them
-        all on each access."""
+        """Every transaction id in transition order, as a fresh list on each
+        access; a loaded net decodes them all to make it."""
         return self._txs.all()
 
     def address_of(self, place: int) -> str:
@@ -360,8 +371,8 @@ class PlaceTransitionNet:
         """Return the place id for `addr`, allocating the next id if new."""
         if self._arcs is None:
             raise NetSealedError("cannot intern addresses on a sealed net")
-        if not isinstance(addr, str) or not addr or not _encodable(addr):
-            raise ValueError("address must be a non-empty string")
+        if not are_names([addr]):
+            raise ValueError(f"address must be {NAME_RULE}")
         return self._intern(addr)
 
     def _intern(self, addr: str) -> int:
@@ -385,20 +396,13 @@ class PlaceTransitionNet:
             raise NetSealedError("cannot record transactions on a sealed net")
         if not outputs:
             raise MalformedTransactionError(f"transaction {tx_id!r} has no outputs")
-        if not isinstance(tx_id, str) or not tx_id or not _encodable(tx_id):
-            raise MalformedTransactionError("transaction id must be a non-empty string")
+        if not are_names([tx_id]):
+            raise MalformedTransactionError(f"transaction id must be {NAME_RULE}")
         txs = self._txs
         if tx_id in txs.index:
             raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
-        try:
-            # TypeError unless every address is a str, UnicodeEncodeError on a
-            # lone surrogate, which a snapshot's UTF-8 cannot hold
-            "".join(inputs).encode(), "".join(outputs).encode()
-            valid = all(inputs) and all(outputs)
-        except (TypeError, UnicodeEncodeError):
-            valid = False
-        if not valid:
-            raise ValueError("address must be a non-empty string")
+        if not (are_names(inputs) and are_names(outputs)):
+            raise ValueError(f"address must be {NAME_RULE}")
         t = len(txs.names)
         txs.index[tx_id] = t
         txs.names.append(tx_id)

@@ -14,6 +14,8 @@ from chainpetri import (
     BlockOrderingError,
     BlockParseError,
     BlockValidationError,
+    MalformedTransactionError,
+    PlaceTransitionNet,
     TransactionRecord,
     convert_rawblock,
     encode_block,
@@ -93,6 +95,31 @@ def test_parse_block_schema_violations(text):
 @given(block_values)
 def test_encode_parse_identity(block):
     assert parse_block(encode_block(block)) == block
+
+
+# values a name may or may not be: empty, lone surrogates, astral characters
+# and every other JSON type
+name_values = st.one_of(
+    st.text(st.sampled_from(["a", "\u00e9", "\ud800", "\udfff", "\U0001f600"]), max_size=3),
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.just("a"), max_size=1), st.dictionaries(st.just("a"), st.just("a"), max_size=1),
+)
+
+
+@given(name_values, st.lists(name_values, max_size=2), st.lists(name_values, max_size=2))
+def test_parse_block_refuses_what_the_net_refuses(tx_id, inputs, outputs):
+    tx = {"tx_id": tx_id, "inputs": inputs, "outputs": outputs}
+    try:
+        parse_block(json.dumps({"height": 0, "transactions": [tx]}))
+        parsed = True
+    except BlockValidationError:
+        parsed = False
+    try:
+        PlaceTransitionNet().record_transaction(tx_id, inputs, outputs)
+        recorded = True
+    except (ValueError, MalformedTransactionError):
+        recorded = False
+    assert parsed == recorded
 
 
 # -- convert_rawblock -----------------------------------------------------------
@@ -183,6 +210,8 @@ def test_rawblock_drops_transaction_without_usable_outputs():
         {"height": 0, "tx": [3]},
         {"height": 0, "tx": [{"hash": "h", "inputs": [5], "out": [{"addr": "A"}]}]},
         {"height": 0, "tx": [{"hash": "h", "inputs": [{}], "out": ["A"]}]},
+        # refused for the missing hash although its only output is skipped
+        {"height": 0, "tx": [{"inputs": [{}], "out": [{"script": "6a"}]}]},
     ],
 )
 def test_rawblock_validation_errors(doc):

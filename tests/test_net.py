@@ -225,6 +225,20 @@ def test_incidence_rejects_malformed_column_form():
             SparseIncidence(bad_indptr, bad_rows, bad_values, (3, 3))
 
 
+def test_stored_column_form_is_read_only(sample_net):
+    from chainpetri import build_entity_net, compute_entities
+
+    loaded = load_snapshot(io.BytesIO(v2_bytes(sample_net)))
+    entity = build_entity_net(sample_net, compute_entities(sample_net)).net
+    for net in (sample_net, loaded, entity):
+        before = net.post.toarray()
+        for stored in (*net.post.tocsc(), *net.post.column_entries(0), net.post.row_nnz_all()):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 2
+        assert np.array_equal(net.post.toarray(), before)
+        assert np.array_equal(net.post.row_nnz_all(), np.count_nonzero(before, axis=1))
+
+
 # -- row/column queries --------------------------------------------------------
 
 
@@ -570,6 +584,27 @@ def test_registries_shared_and_looked_up(tmp_path, sample_net):
         assert entity.transition_of("t7") == 6 and entity.tx_id_of(6) == "t7"
         assert entity.place_of("e1") == 1 and entity.lookup_place("a1") is None
         assert entity.address_of(3) == "e3" and entity.place_names == ["e0", "e1", "e2", "e3"]
+
+
+def test_name_lists_are_fresh_on_every_net(sample_net):
+    from chainpetri import build_entity_net, compute_entities
+
+    loaded = load_snapshot(io.BytesIO(v2_bytes(sample_net)))
+    entity = build_entity_net(sample_net, compute_entities(sample_net)).net
+    nets = (sample_net, loaded, entity)
+    before = [(net.place_names, net.transaction_ids, net.pre.toarray()) for net in nets]
+    for net in nets:
+        places, txs = net.place_names, net.transaction_ids
+        places.reverse()
+        txs.clear()
+    for net, (places, txs, pre) in zip(nets, before):
+        assert net.place_names == places and net.transaction_ids == txs
+        assert [net.address_of(p) for p in range(len(places))] == places
+        assert [net.place_of(name) for name in places] == list(range(len(places)))
+        assert [net.transition_of(tx) for tx in txs] == list(range(len(txs)))
+        assert net.num_transitions == len(txs) == pre.shape[1]
+        assert np.array_equal(net.pre.toarray(), pre)
+    assert v2_bytes(sample_net) == v2_bytes(loaded)
 
 
 def test_snapshot_empty_net():
