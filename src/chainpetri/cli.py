@@ -128,13 +128,9 @@ def main(argv=None) -> int:
 
 def _cmd_build(args) -> int:
     conversion = RawBlockReport() if args.format == "rawblock" else None
-    blocks = sorted(_blocks(args.inputs, conversion), key=lambda b: b.height)
-    if not blocks:
+    net, report = _ingest_files(_block_files(args.inputs), conversion, args.mode)
+    if not report.blocks:
         raise _Fail(2, "no input blocks")
-
-    blocks.reverse()
-    # pop each block as ingest takes it, so none outlives its recording
-    net, report = ingest((blocks.pop() for _ in range(len(blocks))), mode=args.mode)
     net.save_snapshot(args.out)
 
     report_doc = report.as_dict()
@@ -255,30 +251,101 @@ def _parse(origin: str, text: str, conversion: RawBlockReport | None):
     return block
 
 
-def _blocks(inputs, conversion: RawBlockReport | None):
-    """Every input's blocks; each file is read when its turn comes, once all inputs exist."""
+class _Unordered(Exception):
+    """Heights that stop rising: the count of files recorded, the parsed
+    blocks of the files after them up to the one that breaks the order, and
+    the place of the first file not yet read."""
+
+    def __init__(self, recorded: int, parsed: list, unread: int):
+        self.recorded, self.parsed, self.unread = recorded, parsed, unread
+
+
+def _ingest_files(files, conversion: RawBlockReport | None, mode: str):
+    """Ingest the files' blocks, a file at a time while heights rise.  Where
+    they stop rising, parse everything, sort it by height and ingest that
+    instead; the files already recorded are parsed again, without counting
+    their conversion a second time."""
+    try:
+        return ingest(_ascending(files, conversion), mode=mode)
+    except _Unordered as exc:
+        recorded, unread, parsed = exc.recorded, exc.unread, exc.parsed
+    # out of the handler, the partial net of the first attempt is gone
+    again = None if conversion is None else RawBlockReport()
+    blocks = [block for file in files[:recorded] for block in _file_blocks(*file, again)]
+    blocks += parsed
+    del parsed
+    for file in files[unread:]:
+        blocks += _file_blocks(*file, conversion)
+    blocks.sort(key=lambda b: b.height)
+    return ingest(_drain(blocks), mode=mode)
+
+
+def _ascending(files, conversion: RawBlockReport | None):
+    """The files' blocks while each is higher than the one before.  A file is
+    recorded only once the next one has been parsed and continues the order,
+    so disorder one file ahead is found before anything of this file is
+    recorded; raises `_Unordered` where the order breaks."""
+    last, held = -1, []
+    for at, file in enumerate(files):
+        blocks = _file_blocks(*file, conversion)
+        heights = [last, *(block.height for block in blocks)]
+        if any(a >= b for a, b in zip(heights, heights[1:])):
+            raise _Unordered(max(at - 1, 0), held + blocks, at + 1)
+        yield from _drain(held)
+        held, last = blocks, heights[-1]
+    yield from _drain(held)
+
+
+def _drain(blocks: list):
+    """The blocks in order, each dropped from the list as it is taken, so none
+    outlives its recording."""
+    blocks.reverse()
+    while blocks:
+        yield blocks.pop()
+
+
+def _block_files(inputs) -> list[tuple[str, bool]]:
+    """Every input file in order, a directory's `block_<height>.json` files by
+    height, each with whether it may be a stream (only named files may);
+    every input must exist."""
     for path in inputs:
         if not os.path.exists(path):
             raise _Fail(3, f"input path does not exist: {path}")
+    files = []
     for path in inputs:
-        if os.path.isdir(path):
-            files = []
-            for name in glob.glob(os.path.join(glob.escape(path), "block_*.json")):
-                match = _BLOCK_FILE.search(os.path.basename(name))
-                if match:
-                    files.append((int(match.group(1)), name))
-            blocks = (_parse(name, _read_text(name), conversion) for _, name in sorted(files))
-        else:
-            text = _read_text(path)
-            try:
-                blocks = [_parse(path, text, conversion)]
-            except _Fail as exc:
-                # text that is not one JSON document is a newline-delimited stream
-                if not isinstance(exc.__cause__, BlockParseError):
-                    raise
-                blocks = (_parse(f"{path}:{n}", line, conversion)
-                          for n, line in enumerate(text.split("\n"), 1) if line.strip())
-        yield from blocks
+        if not os.path.isdir(path):
+            files.append((path, True))
+            continue
+        names = glob.glob(os.path.join(glob.escape(path), "block_*.json"))
+        numbered = sorted((int(match.group(1)), name) for name in names
+                          if (match := _BLOCK_FILE.search(os.path.basename(name))))
+        files += [(name, False) for _, name in numbered]
+    return files
+
+
+def _file_blocks(path: str, may_stream: bool, conversion: RawBlockReport | None) -> list:
+    """The blocks of one file: one document, or else, where streams may be,
+    one block per non-blank line, named `path:line`."""
+    text = _read_text(path)
+    try:
+        return [_parse(path, text, conversion)]
+    except _Fail as exc:
+        # text that is not one JSON document is a newline-delimited stream
+        if not (may_stream and isinstance(exc.__cause__, BlockParseError)):
+            raise
+    return [_parse(f"{path}:{n}", line, conversion)
+            for n, line in enumerate(_lines(text), 1) if line.strip()]
+
+
+def _lines(text: str):
+    """The lines of the text, each cut from it when its turn comes; lines end
+    only at "\\n"."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        yield text[start:end]
+        start = end + 1
 
 
 def _read_text(path: str) -> str:

@@ -35,8 +35,41 @@ class TransactionRecord:
 
 @dataclass(slots=True)
 class Block:
+    """One block held column-wise, as both parsers return it and as `ingest`
+    records it: the height, the tx ids, every address in document order
+    (each transaction's inputs, then its outputs) and, per transaction, the
+    counts of its inputs and outputs.  `Block.of` builds one from
+    transaction records and `transactions` derives them back."""
+
     height: int
-    transactions: list[TransactionRecord]
+    tx_ids: list[str]
+    addresses: list[str]
+    input_counts: list[int]
+    output_counts: list[int]
+
+    @classmethod
+    def of(cls, height: int, transactions: list[TransactionRecord]) -> "Block":
+        block = cls(height, [], [], [], [])
+        for tx in transactions:
+            block.append(tx.tx_id, tx.inputs, tx.outputs)
+        return block
+
+    def append(self, tx_id: str, inputs: list[str], outputs: list[str]):
+        """Add one transaction after the others; nothing is checked."""
+        self.tx_ids.append(tx_id)
+        self.addresses += inputs
+        self.addresses += outputs
+        self.input_counts.append(len(inputs))
+        self.output_counts.append(len(outputs))
+
+    @property
+    def transactions(self) -> list[TransactionRecord]:
+        """The block's transactions as records, made anew on each access."""
+        records, end, addresses = [], 0, self.addresses
+        for tx_id, n_in, n_out in zip(self.tx_ids, self.input_counts, self.output_counts):
+            start, mid, end = end, end + n_in, end + n_in + n_out
+            records.append(TransactionRecord(tx_id, addresses[start:mid], addresses[mid:end]))
+        return records
 
 
 @dataclass(slots=True)
@@ -85,20 +118,19 @@ def _require_list(value, what: str, tx_id) -> list:
     return value
 
 
-def _require_names(records: list[TransactionRecord]) -> list[TransactionRecord]:
+def _require_names(block: Block) -> Block:
     """Refuse a block unless every tx id and address in it is a name by the
     net's one rule, naming the first transaction that holds one that is not.
-    A valid block costs one check of all its names together."""
-    names = []
-    for tx in records:
-        names.append(tx.tx_id)
-        names += tx.inputs
-        names += tx.outputs
-    if not are_names(names):
-        for tx in records:
+    A valid block costs one check of its tx ids and one of its addresses."""
+    if not (are_names(block.tx_ids) and are_names(block.addresses)):
+        for tx in block.transactions:
             if not are_names([tx.tx_id, *tx.inputs, *tx.outputs]):
-                raise BlockValidationError(f"tx id and addresses must be {NAME_RULE}", tx.tx_id)
-    return records
+                _refuse_names(tx.tx_id)
+    return block
+
+
+def _refuse_names(tx_id):
+    raise BlockValidationError(f"tx id and addresses must be {NAME_RULE}", tx_id)
 
 
 def parse_block(json_text: str) -> Block:
@@ -108,7 +140,7 @@ def parse_block(json_text: str) -> Block:
     if not isinstance(txs_doc, list):
         raise BlockValidationError("missing or invalid field 'transactions'")
 
-    records = []
+    block = Block(height, [], [], [], [])
     for tx in txs_doc:
         if not isinstance(tx, dict):
             raise BlockValidationError("transaction entry must be an object")
@@ -119,9 +151,8 @@ def parse_block(json_text: str) -> Block:
         outputs = _require_list(tx["outputs"], "outputs", tx_id)
         if not outputs:
             raise BlockValidationError("outputs must be non-empty", tx_id)
-        # copies hold no spare capacity, which json's growing lists keep
-        records.append(TransactionRecord(tx_id, list(inputs), list(outputs)))
-    return Block(height, _require_names(records))
+        block.append(tx_id, inputs, outputs)
+    return _require_names(block)
 
 
 def encode_block(block: Block) -> str:
@@ -150,7 +181,7 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
         raise BlockValidationError("missing or invalid field 'tx'")
 
     report = RawBlockReport()
-    records = []
+    block = Block(height, [], [], [], [])
     for tx in doc["tx"]:
         if not isinstance(tx, dict):
             raise BlockValidationError("rawblock tx entry must be an object")
@@ -181,21 +212,26 @@ def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
 
         if not outputs:
             # dropped, so its addresses go unchecked, but its hash must still be a name
-            _require_names([TransactionRecord(tx_id, [], [])])
+            if not are_names([tx_id]):
+                _refuse_names(tx_id)
             report.skipped_transactions += 1
             continue
         report.transactions += 1
-        records.append(TransactionRecord(tx_id, inputs, outputs))
-    return Block(height, _require_names(records)), report
+        block.append(tx_id, inputs, outputs)
+    return _require_names(block), report
 
 
 def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
-    """Fold an ordered block stream into a sealed address-level net.
+    """Fold an ordered stream of `Block`s into a sealed address-level net.
 
-    Blocks must arrive with strictly increasing heights.  In strict mode a
-    transaction is rejected (recorded, not fatal) when any of its input
-    addresses has a running utxo count <= 0 at that moment; lax mode accepts
-    everything.
+    Blocks must arrive with strictly increasing heights; each is recorded
+    when it arrives, so a generator may make and drop them one at a time.
+    Lax mode accepts every transaction and records each block whole with
+    `PlaceTransitionNet.record_block`.  Strict mode records transaction by
+    transaction with `record_transaction` and rejects (records in the
+    report, not fatal) one whose input addresses include one with a running
+    utxo count <= 0 at that moment.  A duplicate tx id raises
+    `DuplicateTransactionError` naming the block's height.
     """
     if mode not in (LAX, STRICT):
         raise ValueError(f"mode must be '{LAX}' or '{STRICT}', got {mode!r}")
@@ -212,15 +248,19 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
             )
         last_height = block.height
         report.blocks += 1
-        for tx in block.transactions:
-            if strict and tx.inputs and not _spendable(net, tx.inputs):
-                report.rejects += 1
-                report.rejected_tx_ids.append(tx.tx_id)
+        try:
+            if not strict:
+                net.record_block(block.tx_ids, block.addresses,
+                                 block.input_counts, block.output_counts)
                 continue
-            try:
+            for tx in block.transactions:
+                if tx.inputs and not _spendable(net, tx.inputs):
+                    report.rejects += 1
+                    report.rejected_tx_ids.append(tx.tx_id)
+                    continue
                 net.record_transaction(tx.tx_id, tx.inputs, tx.outputs)
-            except DuplicateTransactionError as exc:
-                raise DuplicateTransactionError(f"block {block.height}: {exc}") from exc
+        except DuplicateTransactionError as exc:
+            raise DuplicateTransactionError(f"block {block.height}: {exc}") from exc
 
     net.seal()
     report.transactions = net.num_transitions

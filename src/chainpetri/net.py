@@ -8,6 +8,7 @@ persists as one binary snapshot format (`save_snapshot`/`load_snapshot`).
 
 from __future__ import annotations
 
+import itertools
 import os
 from array import array
 from json.encoder import encode_basestring
@@ -233,9 +234,15 @@ class _Registry:
 
     def encoded(self) -> tuple[np.ndarray, np.ndarray]:
         """The names as one UTF-8 blob plus the offsets of each name in it."""
-        encoded = [name.encode("utf-8") for name in self.names]
-        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-        return np.frombuffer(b"".join(encoded), dtype=np.uint8), _offsets(lengths)
+        names = self.names
+        blob = "".join(names).encode()
+        # as many bytes as characters means ASCII, so each name's bytes are its characters
+        if len(blob) == sum(map(len, names)):
+            lengths = map(len, names)
+        else:
+            lengths = map(len, map(str.encode, names))
+        lengths = np.fromiter(lengths, dtype=np.int64, count=len(names))
+        return np.frombuffer(blob, dtype=np.uint8), _offsets(lengths)
 
 
 class _BlobRegistry(_Registry):
@@ -388,27 +395,97 @@ class PlaceTransitionNet:
     def record_transaction(self, tx_id: str, inputs, outputs) -> int:
         """Record one transaction: pre-arcs from inputs, post-arcs to outputs.
 
+        `inputs` and `outputs` are each a list or tuple of addresses.
         Duplicate addresses within one side collapse to a single arc of
         weight 1.  Empty `inputs` marks a coinbase; `outputs` must be
-        non-empty.  Returns the new transition id.
+        non-empty.  Everything is checked before anything changes, so a
+        refused transaction leaves the net as it was.  Returns the new
+        transition id.
         """
         if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
-        if not outputs:
-            raise MalformedTransactionError(f"transaction {tx_id!r} has no outputs")
-        if not are_names([tx_id]):
-            raise MalformedTransactionError(f"transaction id must be {NAME_RULE}")
+        self._check_transaction(tx_id, inputs, outputs)
         txs = self._txs
-        if tx_id in txs.index:
-            raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
-        if not (are_names(inputs) and are_names(outputs)):
-            raise ValueError(f"address must be {NAME_RULE}")
         t = len(txs.names)
         txs.index[tx_id] = t
         txs.names.append(tx_id)
         self._append_column("pre", inputs, -1)
         self._append_column("post", outputs, 1)
         return t
+
+    def _check_transaction(self, tx_id, inputs, outputs, earlier=()):
+        """Raise the error `record_transaction` refuses the transaction with,
+        if any; a tx id in `earlier` counts as recorded."""
+        if not (isinstance(inputs, (list, tuple)) and isinstance(outputs, (list, tuple))):
+            raise TypeError("inputs and outputs must each be a list or a tuple")
+        if not outputs:
+            raise MalformedTransactionError(f"transaction {tx_id!r} has no outputs")
+        if not are_names([tx_id]):
+            raise MalformedTransactionError(f"transaction id must be {NAME_RULE}")
+        if tx_id in self._txs.index or tx_id in earlier:
+            raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
+        if not (are_names(inputs) and are_names(outputs)):
+            raise ValueError(f"address must be {NAME_RULE}")
+
+    def record_block(self, tx_ids, addresses, input_counts, output_counts):
+        """Record a block of transactions given column-wise.
+
+        `tx_ids` and `addresses` are lists or tuples; `addresses` holds each
+        transaction's inputs, then its outputs, in turn, and transaction i
+        has `input_counts[i]` inputs and `output_counts[i]` outputs.  The
+        net comes out as `record_transaction` on each transaction in turn
+        leaves it, and a refused block raises what that loop would raise
+        first, but leaves the net unchanged.
+        """
+        if self._arcs is None:
+            raise NetSealedError("cannot record transactions on a sealed net")
+        if not (isinstance(tx_ids, (list, tuple)) and isinstance(addresses, (list, tuple))):
+            raise TypeError("tx_ids and addresses must each be a list or a tuple")
+        count = len(tx_ids)
+        if len(input_counts) != count or len(output_counts) != count:
+            raise ValueError("a block needs one input and one output count per transaction")
+        sizes = np.empty(2 * count, dtype=np.int64)
+        sizes[0::2], sizes[1::2] = input_counts, output_counts
+        if sizes.min(initial=0) < 0 or sizes.sum() != len(addresses):
+            raise ValueError("the counts of a block must add up to its addresses")
+        places, txs = self._places, self._txs
+        if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
+                and len(set(tx_ids)) == count and txs.index.keys().isdisjoint(tx_ids)):
+            earlier, end = set(), 0
+            for tx_id, n_in, n_out in zip(tx_ids, input_counts, output_counts):
+                start, mid, end = end, end + n_in, end + n_in + n_out
+                self._check_transaction(tx_id, addresses[start:mid], addresses[mid:end], earlier)
+                earlier.add(tx_id)
+
+        # Intern in one pass: an address first seen at position k gets the
+        # provisional id known + k; the new ones are then numbered on from
+        # `known` in the order first seen, as a record_transaction loop would.
+        known = len(places.names)
+        ids = np.fromiter(map(places.index.setdefault, addresses, itertools.count(known)),
+                          dtype=np.int64, count=len(addresses))
+        fresh = np.flatnonzero(ids == np.arange(known, known + len(addresses)))
+        rank = np.empty(len(addresses), dtype=np.int64)
+        rank[fresh] = np.arange(known, known + len(fresh))
+        new = ids >= known
+        ids[new] = rank[ids[new] - known]
+        added = list(map(addresses.__getitem__, fresh.tolist()))
+        places.index.update(zip(added, range(known, known + len(added))))
+        places.names += added
+        self._utxo.frombytes(bytes(8 * len(added)))
+
+        # one arc per distinct (column, place) of each side, in column order
+        width = max(len(places.names), 1)
+        cols = np.repeat(np.repeat(np.arange(count), 2), sizes)
+        is_post = np.repeat(np.tile([False, True], count), sizes)
+        utxo = np.frombuffer(self._utxo, dtype=np.int64)
+        for side, on, delta in (("pre", ~is_post, -1), ("post", is_post, 1)):
+            col, row = np.divmod(np.unique(cols[on] * width + ids[on]), width)
+            rows, offsets = self._arcs[side]
+            offsets.frombytes((len(rows) + np.cumsum(np.bincount(col, minlength=count))).tobytes())
+            rows.frombytes(row.tobytes())
+            np.add.at(utxo, row, delta)
+        txs.index.update(zip(tx_ids, range(len(txs.names), len(txs.names) + count)))
+        txs.names += tx_ids
 
     def _append_column(self, side: str, addrs, utxo_delta: int):
         ids = sorted({self._intern(a) for a in addrs})
@@ -495,15 +572,18 @@ class PlaceTransitionNet:
     def _write_v2(self, fh):
         # The magic line, then .npy records: each registry as one UTF-8 blob
         # plus offsets, then each side's CSC indptr and indices (values are 1).
-        arrays = [*self._places.encoded(), *self._txs.encoded()]
-        for side in SIDES:
-            csc = self.incidence(side).tocsc()
-            arrays += [csc.indptr, csc.indices]
         fh.write(SNAPSHOT_MAGIC)
-        for array in arrays:
+        for array in self._records():
             if array.dtype == np.int64 and array.max(initial=0) < 2**31:
                 array = array.astype(np.int32)
             np.lib.format.write_array(fh, array, allow_pickle=False)
+
+    def _records(self):
+        # each record is made when its turn comes, so one registry's blob is held at a time
+        yield from self._places.encoded()
+        yield from self._txs.encoded()
+        for side in SIDES:
+            yield from self.incidence(side).tocsc()[:2]
 
 
 def load_snapshot(source) -> PlaceTransitionNet:

@@ -157,7 +157,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> tuple[list[Block],
 
     stream = _interleave(units, rng)
     blocks = [
-        Block(height, stream[i:i + config.block_size])
+        Block.of(height, stream[i:i + config.block_size])
         for height, i in enumerate(range(0, len(stream), config.block_size))
     ]
     return blocks, truth

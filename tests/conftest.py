@@ -90,6 +90,6 @@ def sample_net():
 def sample_blocks():
     split = 4
     return [
-        Block(0, [TransactionRecord(t, list(i), list(o)) for t, i, o in SAMPLE_TXS[:split]]),
-        Block(1, [TransactionRecord(t, list(i), list(o)) for t, i, o in SAMPLE_TXS[split:]]),
+        Block.of(0, [TransactionRecord(t, list(i), list(o)) for t, i, o in SAMPLE_TXS[:split]]),
+        Block.of(1, [TransactionRecord(t, list(i), list(o)) for t, i, o in SAMPLE_TXS[split:]]),
     ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pathlib
@@ -11,7 +12,15 @@ import sys
 import numpy as np
 import pytest
 
-from chainpetri import PlaceTransitionNet, encode_block, load_snapshot
+from chainpetri import (
+    Block,
+    GeneratorConfig,
+    PlaceTransitionNet,
+    encode_block,
+    generate_synthetic,
+    load_snapshot,
+)
+from chainpetri import cli
 from chainpetri.cli import main
 from conftest import SAMPLE_TXS
 from helpers import POST_PTR, POST_ROWS, PRE_PTR, TX_OFFSETS, TXS, v2_join, v2_split
@@ -189,8 +198,8 @@ def test_build_orders_directory_numerically(tmp_path, sample_blocks):
     directory = tmp_path / "blocks"
     directory.mkdir()
     # height 10 would sort before height 2 lexicographically
-    (directory / "block_2.json").write_text(encode_block(sample_blocks[0].__class__(2, sample_blocks[0].transactions)))
-    (directory / "block_10.json").write_text(encode_block(sample_blocks[1].__class__(10, sample_blocks[1].transactions)))
+    (directory / "block_2.json").write_text(encode_block(Block.of(2, sample_blocks[0].transactions)))
+    (directory / "block_10.json").write_text(encode_block(Block.of(10, sample_blocks[1].transactions)))
     out = tmp_path / "net.json"
     assert main(["build", str(directory), "--out", str(out)]) == 0
 
@@ -280,6 +289,148 @@ def test_build_strict_mode_flag(tmp_path):
     report = json.loads((tmp_path / "net.json.report.json").read_text())
     assert report["rejects"] == 1
     assert report["rejected_tx_ids"] == ["bad"]
+
+
+def _layout_ledger():
+    """Seven synthetic blocks plus one unfunded spend, which strict mode rejects."""
+    config = GeneratorConfig(entity_sizes=[2, 3], chain_lengths=[3, 2], repeat_group_sizes=[2],
+                             fillers=12, block_size=6)
+    blocks, _ = generate_synthetic(config, seed=3)
+    blocks[2].append("unfunded", ["nowhere"], ["somewhere"])
+    assert len(blocks) == 7
+    return blocks
+
+
+def _layout_text(block, fmt):
+    """A block as text; a rawblock tx also gets one output without an address."""
+    if fmt == "canonical":
+        return encode_block(block)
+    doc = json.loads(_rawblock_text(block))
+    for tx in doc["tx"]:
+        tx["out"].append({"value": 1})
+    return json.dumps(doc)
+
+
+def _write_layouts(root, blocks, fmt):
+    """The same blocks as the input of four builds: an ascending directory,
+    one ascending stream, three streams dealt in shuffled order, and a
+    directory where block_1.json holds height 3 and block_3.json height 1."""
+    texts = {block.height: _layout_text(block, fmt) for block in blocks}
+    layouts = {}
+    for name, named in (("ascending", {h: h for h in texts}),
+                        ("misnamed", {h: {1: 3, 3: 1}.get(h, h) for h in texts})):
+        directory = root / name
+        directory.mkdir()
+        for height, text in texts.items():
+            (directory / f"block_{named[height]}.json").write_text(text)
+        layouts[name] = [directory]
+    (root / "stream.ndjson").write_text("".join(f"{t}\n" for t in texts.values()))
+    layouts["stream"] = [root / "stream.ndjson"]
+    order = [5, 2, 6, 0, 3, 1, 4]
+    layouts["shuffled"] = []
+    for k in range(3):
+        path = root / f"part_{k}.ndjson"
+        path.write_text("\n".join(texts[h] for h in order[k::3]))
+        layouts["shuffled"].append(path)
+    return layouts
+
+
+@pytest.mark.parametrize("mode", ["lax", "strict"])
+@pytest.mark.parametrize("fmt", ["canonical", "rawblock"])
+def test_build_layouts_give_identical_outputs(tmp_path, fmt, mode):
+    blocks = _layout_ledger()
+    layouts = _write_layouts(tmp_path, blocks, fmt)
+    outputs = {}
+    for name, inputs in layouts.items():
+        out = tmp_path / f"{name}.snap"
+        assert main(["--no-timestamp", "build", *map(str, inputs), "--format", fmt,
+                     "--mode", mode, "--out", str(out)]) == 0
+        outputs[name] = (hashlib.sha256(out.read_bytes()).hexdigest(),
+                         hashlib.sha256((tmp_path / f"{name}.snap.report.json").read_bytes())
+                         .hexdigest())
+    assert len(set(outputs.values())) == 1, outputs
+    report = json.loads((tmp_path / "misnamed.snap.report.json").read_text())
+    transactions = sum(len(block.tx_ids) for block in blocks)
+    assert report["blocks"] == 7
+    assert report["rejects"] == (1 if mode == "strict" else 0)
+    if fmt == "rawblock":
+        # counted once per transaction, although the fallback parsed two files twice
+        assert report["conversion"] == {"transactions": transactions, "skipped_inputs": 0,
+                                        "skipped_outputs": transactions,
+                                        "skipped_transactions": 0}
+
+
+def _logged_build(monkeypatch, argv):
+    """Run `build` and return what it read and recorded, in order."""
+    events = []
+    read_text, record_block = cli._read_text, PlaceTransitionNet.record_block
+
+    def logged_read(path):
+        events.append(("read", os.path.basename(path)))
+        return read_text(path)
+
+    def logged_record(net, tx_ids, *columns):
+        events.append(("record", len(tx_ids)))
+        return record_block(net, tx_ids, *columns)
+
+    monkeypatch.setattr(cli, "_read_text", logged_read)
+    monkeypatch.setattr(PlaceTransitionNet, "record_block", logged_record)
+    assert main(argv) == 0
+    return events
+
+
+def test_build_records_an_ascending_directory_file_by_file(tmp_path, monkeypatch):
+    blocks = _layout_ledger()
+    layouts = _write_layouts(tmp_path, blocks, "canonical")
+    events = _logged_build(monkeypatch, ["build", str(layouts["ascending"][0]),
+                                         "--out", str(tmp_path / "net.snap")])
+    # a file is recorded once the next one is read, and before any later one
+    reads = [("read", f"block_{block.height}.json") for block in blocks]
+    records = [("record", len(block.tx_ids)) for block in blocks]
+    assert events == [reads[0]] + [e for pair in zip(reads[1:], records) for e in pair] + [
+        records[-1]]
+
+
+def test_build_fallback_reparses_only_recorded_files(tmp_path, monkeypatch):
+    blocks = _layout_ledger()
+    layouts = _write_layouts(tmp_path, blocks, "canonical")
+    events = _logged_build(monkeypatch, ["build", str(layouts["misnamed"][0]),
+                                         "--out", str(tmp_path / "net.snap")])
+    names = [f"block_{h}.json" for h in range(7)]
+    # block_0 is recorded once block_1 (height 3) is read; block_2 breaks the
+    # order, so only block_0 is read again
+    assert events[:4] == [("read", names[0]), ("read", names[1]),
+                          ("record", len(blocks[0].tx_ids)), ("read", names[2])]
+    assert events[4:] == [("read", name) for name in names[:1] + names[3:]] + [
+        ("record", len(block.tx_ids)) for block in blocks]
+
+
+@pytest.mark.parametrize("layout", ["files", "directory"])
+def test_build_equal_heights_exit_2(tmp_path, capsys, sample_blocks, layout):
+    first, second = (Block.of(3, block.transactions) for block in sample_blocks)
+    if layout == "files":
+        inputs = [tmp_path / "a.json", tmp_path / "b.json"]
+    else:
+        (tmp_path / "blocks").mkdir()
+        inputs = [tmp_path / "blocks" / "block_3.json", tmp_path / "blocks" / "block_03.json"]
+    inputs[0].write_text(encode_block(first))
+    inputs[1].write_text(encode_block(second))
+    argv = [str(p) for p in inputs] if layout == "files" else [str(tmp_path / "blocks")]
+    out = tmp_path / "net.snap"
+    assert main(["build", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: block height 3 follows 3; heights must be strictly increasing\n")
+    assert not out.exists()
+
+
+def test_build_blank_inputs_have_no_blocks(tmp_path, capsys):
+    (tmp_path / "blank.ndjson").write_text("\n \n\n")
+    (tmp_path / "empty").mkdir()
+    out = tmp_path / "net.snap"
+    assert main(["build", str(tmp_path / "blank.ndjson"), str(tmp_path / "empty"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no input blocks\n"
+    assert not out.exists()
 
 
 # -- analysis commands -------------------------------------------------------------

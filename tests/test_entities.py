@@ -202,6 +202,27 @@ def test_entity_net_matches_dense_oracle(seed):
         assert entity_net.post.toarray().max() > 1  # summed multiplicities occur
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_entity_pre_column_holds_the_distinct_input_count(seed):
+    # all inputs of a transaction share an owner, so its entity-level pre
+    # column holds one entry: the number of its distinct input addresses
+    rng = random.Random(7000 + seed)
+    txs = random_transactions(rng, n_tx=rng.randint(20, 80), pool_size=rng.randint(4, 25),
+                              max_in=4)
+    net = build_net(txs)
+    partition = compute_entities(net)
+    pre = build_entity_net(net, partition).net.pre.tocsc()
+    sizes = np.diff(pre.indptr)
+    for t, (_, inputs, _) in enumerate(txs):
+        assert sizes[t] == (1 if inputs else 0)
+        if inputs:
+            lo = pre.indptr[t]
+            assert pre.indices[lo] == partition.place_to_entity[net.place_of(inputs[0])]
+            assert pre.data[lo] == len(set(inputs))
+    assert any(not inputs for _, inputs, _ in txs)  # coinbase columns are empty
+    assert pre.data.max() > 1
+
+
 def test_partition_mismatch_rejected(sample_net):
     m = sample_net.num_places
     wrong_length = np.zeros(m - 1, dtype=np.int64)

@@ -27,7 +27,7 @@ from helpers import random_transactions, simulate_strict
 
 addr_text = st.text(min_size=1, max_size=8).filter(lambda s: s.strip())
 block_values = st.builds(
-    Block,
+    Block.of,
     height=st.integers(min_value=0, max_value=10**9),
     transactions=st.lists(
         st.builds(
@@ -305,7 +305,7 @@ def test_ingest_bad_mode(sample_blocks):
 
 def test_strict_rejects_unfunded_spend():
     blocks = [
-        Block(
+        Block.of(
             0,
             [
                 TransactionRecord("fund", [], ["A"]),
@@ -325,7 +325,7 @@ def test_strict_rejects_unfunded_spend():
 
 def test_strict_rejects_double_spend():
     blocks = [
-        Block(
+        Block.of(
             0,
             [
                 TransactionRecord("fund", [], ["A"]),
@@ -344,7 +344,7 @@ def test_strict_matches_independent_simulation(seed):
 
     rng = random.Random(seed)
     txs = random_transactions(rng, n_tx=60, pool_size=8, repeat_bias=0.0)
-    blocks = [Block(0, [TransactionRecord(t, i, o) for t, i, o in txs])]
+    blocks = [Block.of(0, [TransactionRecord(t, i, o) for t, i, o in txs])]
     net, report = ingest(blocks, mode="strict")
     accepted, rejected = simulate_strict(txs)
     assert report.rejected_tx_ids == rejected
@@ -357,7 +357,7 @@ def test_lax_never_rejects(seed):
 
     rng = random.Random(seed)
     txs = random_transactions(rng, n_tx=50, pool_size=6)
-    blocks = [Block(0, [TransactionRecord(t, i, o) for t, i, o in txs])]
+    blocks = [Block.of(0, [TransactionRecord(t, i, o) for t, i, o in txs])]
     _, report = ingest(blocks, mode="lax")
     assert report.rejects == 0
     assert report.transactions == len(txs)

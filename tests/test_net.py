@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainpetri import (
+    Block,
     DuplicateTransactionError,
     GeneratorConfig,
     MalformedTransactionError,
@@ -21,6 +22,7 @@ from chainpetri import (
     PlaceTransitionNet,
     SnapshotError,
     SparseIncidence,
+    TransactionRecord,
     generate_synthetic,
     ingest,
     load_snapshot,
@@ -38,6 +40,7 @@ from helpers import (
     TXS,
     build_net,
     dense_replay,
+    random_transactions,
     v2_bytes,
     v2_join,
     v2_set_names,
@@ -136,6 +139,10 @@ def test_rejected_address_leaves_net_unchanged():
         (7, ["A"], ["B"], MalformedTransactionError),
         (["x"], ["A"], ["B"], MalformedTransactionError),
         ("x\ud83d", ["A"], ["B"], MalformedTransactionError),
+        ("x", iter(["A"]), ["B"], TypeError),
+        ("x", ["A"], (a for a in ["B"]), TypeError),
+        ("x", "AB", ["C"], TypeError),
+        ("x", {"A"}, ["C"], TypeError),
     ):
         with pytest.raises(error):
             net.record_transaction(tx_id, inputs, outputs)
@@ -145,7 +152,7 @@ def test_rejected_address_leaves_net_unchanged():
         with pytest.raises(ValueError):
             net.intern_address(addr)
     assert net.place_names == ["A"]
-    net.record_transaction("x", ["A"], ["B"])
+    net.record_transaction("x", ("A", "A"), ("B",))
     net.seal()
     assert net.pre.toarray().tolist() == [[0, 1], [0, 0]]
     assert net.post.toarray().tolist() == [[1, 0], [0, 1]]
@@ -712,3 +719,134 @@ def test_snapshot_round_trip_property(batch, rnd):
         t = rnd.randrange(net.num_transitions)
         assert net.column_places("pre", t) == loaded.column_places("pre", t)
         assert net.column_places("post", t) == loaded.column_places("post", t)
+
+
+# -- sides of a transaction and blocks recorded column-wise ------------------------
+
+
+def _building_state(net):
+    """Everything a net under construction holds, as plain lists."""
+    arcs = {side: (list(rows), list(offsets)) for side, (rows, offsets) in net._arcs.items()}
+    return net.place_names, net.transaction_ids, list(net._utxo), arcs
+
+
+side_names = st.lists(st.sampled_from(["A", "B", "C", "é", ""]), max_size=3)
+side_kinds = st.sampled_from([list, tuple, iter, "".join, lambda names: (n for n in names)])
+
+
+@given(side_kinds, side_names, side_kinds, side_names)
+def test_record_transaction_takes_a_list_or_tuple_per_side(in_kind, inputs, out_kind, outputs):
+    net = PlaceTransitionNet()
+    net.record_transaction("c", [], ["A"])
+    before = _building_state(net)
+    sequences = in_kind in (list, tuple) and out_kind in (list, tuple)
+    try:
+        net.record_transaction("x", in_kind(inputs), out_kind(outputs))
+    except (TypeError, ValueError, MalformedTransactionError):
+        assert _building_state(net) == before
+        assert not (sequences and outputs and all(inputs + outputs))
+        return
+    assert sequences
+    net.seal()
+    assert net.column_places("pre", 1) == {net.place_of(a) for a in inputs}
+    _assert_nets_equal(net, load_snapshot(io.BytesIO(v2_bytes(net))))
+
+
+def _columns(txs):
+    block = Block.of(0, [TransactionRecord(t, list(i), list(o)) for t, i, o in txs])
+    return block.tx_ids, block.addresses, block.input_counts, block.output_counts
+
+
+def _first_error(net_txs, block_txs):
+    """What a record_transaction loop over `block_txs` raises first, on a net
+    that holds `net_txs`."""
+    net = build_net(net_txs, seal=False)
+    try:
+        for tx in block_txs:
+            net.record_transaction(*tx)
+    except Exception as exc:  # noqa: BLE001 - the oracle reports whatever it meets
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_record_block_matches_record_transaction_loop(seed):
+    rng = random.Random(seed)
+    txs = []
+    for tx_id, inputs, outputs in random_transactions(rng, n_tx=120, pool_size=10):
+        # repeat some addresses within a side
+        inputs += rng.sample(inputs, k=rng.randint(0, len(inputs)))
+        outputs += rng.sample(outputs, k=rng.randint(0, len(outputs)))
+        rng.shuffle(inputs)
+        rng.shuffle(outputs)
+        txs.append((tx_id, inputs, outputs))
+    by_block, by_transaction = PlaceTransitionNet(), PlaceTransitionNet()
+    start = 0
+    while start < len(txs):
+        block = txs[start:start + rng.randint(0, 15)]
+        start += len(block)
+        by_block.record_block(*_columns(block))
+        for tx in block:
+            by_transaction.record_transaction(*tx)
+        assert _building_state(by_block) == _building_state(by_transaction)
+    assert any(not inputs for _, inputs, _ in txs)
+    assert any(len(set(outputs)) < len(outputs) for _, _, outputs in txs)
+    assert v2_bytes(by_block.seal()) == v2_bytes(by_transaction.seal())
+
+
+@pytest.mark.parametrize("block", [
+    [("n", [], ["A"]), ("n", ["A"], ["B"])],                  # tx id twice in the block
+    [("n", [], ["Z"]), ("c", [], ["B"])],                     # tx id already recorded
+    [("n", [], ["Z"]), ("m", ["A", ""], ["B"])],              # empty address
+    [("n", [], ["Z"]), ("m", ["A"], ["B\ud800"])],            # lone surrogate
+    [("n", [], ["Z"]), ("m", ["A"], [7])],                    # not a string
+    [("n", [], ["Z"]), ("", ["A"], ["B"])],                   # empty tx id
+    [("n", [], ["Z"]), (None, ["A"], ["B"])],                 # tx id not a string
+    [("n", [], ["Z"]), ("m", ["A"], [])],                     # no outputs
+    [("m", ["A"], [""]), ("c", [], ["B"])],                   # first fault wins: address
+    [("c", [], ["B"]), ("m", ["A"], [""])],                   # first fault wins: duplicate
+    [("m", ["A"], []), ("m", [], [""])],                      # first fault wins: no outputs
+])
+def test_refused_block_raises_the_loops_first_error_and_changes_nothing(block):
+    recorded = [("c", [], ["A"]), ("d", ["A"], ["B", "C"])]
+    net = build_net(recorded, seal=False)
+    before = _building_state(net)
+    error, message = _first_error(recorded, block)
+    with pytest.raises(error) as raised:
+        net.record_block(*_columns(block))
+    assert str(raised.value) == message
+    assert _building_state(net) == before
+    net.record_block(*_columns([("n", ["A"], ["Z", "A"])]))
+    assert net.place_names == ["A", "B", "C", "Z"]
+
+
+def test_record_block_checks_its_columns():
+    net = PlaceTransitionNet()
+    for columns, error in (
+        ((iter(["x"]), ["A"], [0], [1]), TypeError),
+        ((["x"], "A", [0], [1]), TypeError),
+        ((["x"], ["A"], [0, 0], [1]), ValueError),
+        ((["x"], ["A"], [0], [2]), ValueError),
+        ((["x"], ["A", "B"], [-1], [3]), ValueError),
+    ):
+        with pytest.raises(error):
+            net.record_block(*columns)
+    assert _building_state(net) == _building_state(PlaceTransitionNet())
+    net.record_block([], [], [], [])
+    net.seal()
+    with pytest.raises(NetSealedError):
+        net.record_block(["x"], ["A"], [0], [1])
+
+
+@pytest.mark.parametrize("heights", [(0, 0), (0, 1)], ids=["within-block", "across-blocks"])
+def test_ingest_duplicate_names_its_block(heights):
+    first = [TransactionRecord("a", [], ["A"])]
+    second = [TransactionRecord("b", ["A"], ["B"]), TransactionRecord("a", [], ["C"])]
+    if heights[0] == heights[1]:
+        blocks = [Block.of(4, first + second)]
+    else:
+        blocks = [Block.of(4, first), Block.of(5, second)]
+    for mode in ("lax", "strict"):
+        with pytest.raises(DuplicateTransactionError) as raised:
+            ingest(blocks, mode=mode)
+        assert str(raised.value) == f"block {blocks[-1].height}: transaction 'a' already recorded"
