@@ -252,26 +252,33 @@ def _parse(origin: str, text: str, conversion: RawBlockReport | None):
 
 
 class _Unordered(Exception):
-    """Heights that stop rising: the count of files recorded, the parsed
-    blocks of the files after them up to the one that breaks the order, and
-    the place of the first file not yet read."""
+    """Heights that stop rising: the count of files recorded and of their
+    blocks, the parsed blocks of the files after them up to the one that
+    breaks the order, and the place of the first file not yet read."""
 
-    def __init__(self, recorded: int, parsed: list, unread: int):
-        self.recorded, self.parsed, self.unread = recorded, parsed, unread
+    def __init__(self, recorded: int, done: int, parsed: list, unread: int):
+        self.recorded, self.done, self.parsed, self.unread = recorded, done, parsed, unread
 
 
 def _ingest_files(files, conversion: RawBlockReport | None, mode: str):
     """Ingest the files' blocks, a file at a time while heights rise.  Where
     they stop rising, parse everything, sort it by height and ingest that
     instead; the files already recorded are parsed again, without counting
-    their conversion a second time."""
-    try:
-        return ingest(_ascending(files, conversion), mode=mode)
-    except _Unordered as exc:
-        recorded, unread, parsed = exc.recorded, exc.unread, exc.parsed
+    their conversion a second time.  Only regular files are streamed: a pipe
+    cannot be read twice, so any other input is parsed whole first."""
+    recorded = done = unread = 0
+    parsed = []
+    if all(os.path.isfile(path) for path, _ in files):
+        try:
+            return ingest(_ascending(files, conversion), mode=mode)
+        except _Unordered as exc:
+            recorded, done, parsed, unread = exc.recorded, exc.done, exc.parsed, exc.unread
     # out of the handler, the partial net of the first attempt is gone
     again = None if conversion is None else RawBlockReport()
     blocks = [block for file in files[:recorded] for block in _file_blocks(*file, again)]
+    if len(blocks) != done:
+        raise _Fail(3, f"input changed while it was read: {recorded} file(s) from "
+                       f"{files[0][0]} held {done} blocks, then {len(blocks)}")
     blocks += parsed
     del parsed
     for file in files[unread:]:
@@ -285,12 +292,13 @@ def _ascending(files, conversion: RawBlockReport | None):
     recorded only once the next one has been parsed and continues the order,
     so disorder one file ahead is found before anything of this file is
     recorded; raises `_Unordered` where the order breaks."""
-    last, held = -1, []
+    last, held, done = -1, [], 0
     for at, file in enumerate(files):
         blocks = _file_blocks(*file, conversion)
         heights = [last, *(block.height for block in blocks)]
         if any(a >= b for a, b in zip(heights, heights[1:])):
-            raise _Unordered(max(at - 1, 0), held + blocks, at + 1)
+            raise _Unordered(max(at - 1, 0), done, held + blocks, at + 1)
+        done += len(held)
         yield from _drain(held)
         held, last = blocks, heights[-1]
     yield from _drain(held)

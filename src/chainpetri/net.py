@@ -236,12 +236,7 @@ class _Registry:
         """The names as one UTF-8 blob plus the offsets of each name in it."""
         names = self.names
         blob = "".join(names).encode()
-        # as many bytes as characters means ASCII, so each name's bytes are its characters
-        if len(blob) == sum(map(len, names)):
-            lengths = map(len, names)
-        else:
-            lengths = map(len, map(str.encode, names))
-        lengths = np.fromiter(lengths, dtype=np.int64, count=len(names))
+        lengths = np.fromiter(map(len, map(str.encode, names)), dtype=np.int64, count=len(names))
         return np.frombuffer(blob, dtype=np.uint8), _offsets(lengths)
 
 

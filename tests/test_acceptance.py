@@ -7,8 +7,10 @@ lines as they complete.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import io
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -229,19 +231,22 @@ def test_criterion_7():
             assert net.column_places("post", t) == loaded.column_places("post", t)
 
 
+def _c8_build():
+    """tools/c8_build.py, which holds the criterion-8 ledger's config and seed."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "tools" / "c8_build.py"
+    spec = importlib.util.spec_from_file_location("c8_build", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 PERF_SCRIPT = """
 import json, resource, sys, time
 import chainpetri as cp
 
-config = cp.GeneratorConfig(
-    entity_sizes=[4] * 1000,
-    chain_lengths=[3] * 50_000,
-    repeat_group_sizes=[3] * 500,
-    fillers=375_000,
-    addresses_per_filler=1,
-    block_size=5000,
-)
-blocks, _ = cp.generate_synthetic(config, seed=8)
+ledger = json.load(sys.stdin)
+config = cp.GeneratorConfig(**ledger["config"])
+blocks, _ = cp.generate_synthetic(config, seed=ledger["seed"])
 
 started = time.perf_counter()
 net, report = cp.ingest(blocks, mode="lax")
@@ -266,8 +271,10 @@ print(json.dumps({
 def test_criterion_8():
     # Separate process so the resident-memory peak measures this pipeline
     # alone, not the rest of the test session.
+    c8 = _c8_build()
     proc = subprocess.run(
         [sys.executable, "-c", PERF_SCRIPT],
+        input=json.dumps({"config": c8.C8_CONFIG, "seed": c8.SEED}),
         capture_output=True,
         text=True,
         timeout=580,

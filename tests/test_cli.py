@@ -405,6 +405,60 @@ def test_build_fallback_reparses_only_recorded_files(tmp_path, monkeypatch):
         ("record", len(block.tx_ids)) for block in blocks]
 
 
+def _named_files(root, blocks, heights):
+    """One named file per block, in the order of the heights given."""
+    paths = []
+    for height in heights:
+        paths.append(root / f"h{height}.json")
+        paths[-1].write_text(encode_block(blocks[height]))
+    return paths
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_build_reads_a_pipe_once(tmp_path):
+    blocks = _layout_ledger()
+    layouts = _write_layouts(tmp_path, blocks, "canonical")
+    want = tmp_path / "want.snap"
+    assert main(["--no-timestamp", "build", str(layouts["ascending"][0]), "--out", str(want)]) == 0
+    # a pipe, as a shell's <(...) gives; opened again, it reads empty
+    read, write = os.pipe()
+    os.write(write, encode_block(blocks[0]).encode())
+    os.close(write)
+    files = _named_files(tmp_path, blocks, [1, 3, 2, 4, 5, 6])
+    out = tmp_path / "net.snap"
+    try:
+        assert main(["--no-timestamp", "build", f"/dev/fd/{read}", *map(str, files),
+                     "--out", str(out)]) == 0
+    finally:
+        os.close(read)
+    assert _sha256(out) == _sha256(want)
+
+
+def test_build_refuses_a_recorded_file_that_reads_differently(tmp_path, monkeypatch, capsys):
+    blocks = _layout_ledger()
+    files = _named_files(tmp_path, blocks, [0, 1, 3, 2, 4, 5, 6])
+    seen = set()
+    read_text = cli._read_text
+
+    def changing_read(path):
+        # h0.json is recorded before h2.json breaks the order; read again, it is blank
+        text = "" if path in seen and path.endswith("h0.json") else read_text(path)
+        seen.add(path)
+        return text
+
+    monkeypatch.setattr(cli, "_read_text", changing_read)
+    out = tmp_path / "net.snap"
+    assert main(["build", *map(str, files), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: input changed while it was read: 2 file(s) from {files[0]} held 2 blocks, "
+        "then 1\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("layout", ["files", "directory"])
 def test_build_equal_heights_exit_2(tmp_path, capsys, sample_blocks, layout):
     first, second = (Block.of(3, block.transactions) for block in sample_blocks)

@@ -26,7 +26,7 @@ import time
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-# the config of acceptance criterion 8 (tests/test_acceptance.py)
+# the ledger of acceptance criterion 8; tests/test_acceptance.py reads it from here
 C8_CONFIG = {
     "entity_sizes": [4] * 1000,
     "chain_lengths": [3] * 50_000,
