@@ -20,7 +20,7 @@ from .errors import (
     BlockValidationError,
     DuplicateTransactionError,
 )
-from .net import NAME_RULE, PlaceTransitionNet, are_names
+from .net import NAME_RULE, PlaceTransitionNet, _block_sizes, _offsets, are_names
 
 LAX = "lax"
 STRICT = "strict"
@@ -64,12 +64,14 @@ class Block:
 
     @property
     def transactions(self) -> list[TransactionRecord]:
-        """The block's transactions as records, made anew on each access."""
-        records, end, addresses = [], 0, self.addresses
-        for tx_id, n_in, n_out in zip(self.tx_ids, self.input_counts, self.output_counts):
-            start, mid, end = end, end + n_in, end + n_in + n_out
-            records.append(TransactionRecord(tx_id, addresses[start:mid], addresses[mid:end]))
-        return records
+        """The block's transactions as records, made anew on each access.
+        Counts that do not fit the block raise as `record_block` raises."""
+        addresses = self.addresses
+        bounds = _offsets(_block_sizes(self.tx_ids, addresses, self.input_counts,
+                                       self.output_counts)).tolist()
+        return [TransactionRecord(tx_id, addresses[start:mid], addresses[mid:end])
+                for tx_id, start, mid, end in zip(self.tx_ids, bounds[0::2], bounds[1::2],
+                                                  bounds[2::2])]
 
 
 @dataclass(slots=True)
@@ -231,7 +233,9 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
     transaction with `record_transaction` and rejects (records in the
     report, not fatal) one whose input addresses include one with a running
     utxo count <= 0 at that moment.  A duplicate tx id raises
-    `DuplicateTransactionError` naming the block's height.
+    `DuplicateTransactionError` naming the block's height.  Both modes
+    refuse a block whose counts do not fit its addresses, as `record_block`
+    does.
     """
     if mode not in (LAX, STRICT):
         raise ValueError(f"mode must be '{LAX}' or '{STRICT}', got {mode!r}")

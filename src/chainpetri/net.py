@@ -193,6 +193,29 @@ def _ones(count: int) -> np.ndarray:
     return np.broadcast_to(np.int64(1), count)
 
 
+def _block_sizes(tx_ids, addresses, input_counts, output_counts) -> np.ndarray:
+    """Each transaction's input count, then its output count, in turn, for a
+    block given column-wise.  Raises TypeError on a count that is not an
+    integer (a bool is not), and ValueError unless there is one input and one
+    output count per tx id, none negative, and they add up to the addresses."""
+    count = len(tx_ids)
+    if len(input_counts) != count or len(output_counts) != count:
+        raise ValueError("a block needs one input and one output count per transaction")
+    kinds = {*map(type, input_counts), *map(type, output_counts)}
+    if not all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds):
+        raise TypeError("the counts of a block must be integers")
+    sizes, total = np.empty(2 * count, dtype=np.int64), len(addresses)
+    try:
+        sizes[0::2], sizes[1::2] = input_counts, output_counts
+        # with every count within 0..total, the sum cannot wrap around
+        fits = sizes.min(initial=0) >= 0 and sizes.max(initial=0) <= total and sizes.sum() == total
+    except OverflowError:  # a count beyond int64
+        fits = False
+    if not fits:
+        raise ValueError("the counts of a block must add up to its addresses")
+    return sizes
+
+
 def _check_index(index: int, size: int, what: str):
     if not 0 <= index < size:
         raise IndexError(f"{what} {index} out of range (0..{size - 1})")
@@ -204,9 +227,9 @@ def _check_side(side: str):
 
 
 class _Registry:
-    """Names in id order plus the name -> id dict, which a net under
-    construction keeps current and any other registry builds on the first
-    lookup.  Subclasses hold the names in other forms and decode on demand."""
+    """Names in id order plus the name -> id dict, which only a net under
+    construction keeps; a sealed net builds it on the first lookup.
+    Subclasses hold the names in other forms and decode on demand."""
 
     def __init__(self, names: list[str], index: dict[str, int] | None = None):
         self.names = names
@@ -379,10 +402,9 @@ class PlaceTransitionNet:
 
     def _intern(self, addr: str) -> int:
         places = self._places
-        idx = places.index.get(addr)
-        if idx is None:
-            idx = len(places.names)
-            places.index[addr] = idx
+        new = len(places.names)
+        idx = places.index.setdefault(addr, new)
+        if idx == new:
             places.names.append(addr)
             self._utxo.append(0)
         return idx
@@ -436,13 +458,7 @@ class PlaceTransitionNet:
             raise NetSealedError("cannot record transactions on a sealed net")
         if not (isinstance(tx_ids, (list, tuple)) and isinstance(addresses, (list, tuple))):
             raise TypeError("tx_ids and addresses must each be a list or a tuple")
-        count = len(tx_ids)
-        if len(input_counts) != count or len(output_counts) != count:
-            raise ValueError("a block needs one input and one output count per transaction")
-        sizes = np.empty(2 * count, dtype=np.int64)
-        sizes[0::2], sizes[1::2] = input_counts, output_counts
-        if sizes.min(initial=0) < 0 or sizes.sum() != len(addresses):
-            raise ValueError("the counts of a block must add up to its addresses")
+        count, sizes = len(tx_ids), _block_sizes(tx_ids, addresses, input_counts, output_counts)
         places, txs = self._places, self._txs
         if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
                 and len(set(tx_ids)) == count and txs.index.keys().isdisjoint(tx_ids)):
@@ -453,17 +469,15 @@ class PlaceTransitionNet:
                 earlier.add(tx_id)
 
         # Intern in one pass: an address first seen at position k gets the
-        # provisional id known + k; the new ones are then numbered on from
+        # provisional id known + k, so ranking the new ids numbers them on from
         # `known` in the order first seen, as a record_transaction loop would.
         known = len(places.names)
         ids = np.fromiter(map(places.index.setdefault, addresses, itertools.count(known)),
                           dtype=np.int64, count=len(addresses))
-        fresh = np.flatnonzero(ids == np.arange(known, known + len(addresses)))
-        rank = np.empty(len(addresses), dtype=np.int64)
-        rank[fresh] = np.arange(known, known + len(fresh))
         new = ids >= known
-        ids[new] = rank[ids[new] - known]
-        added = list(map(addresses.__getitem__, fresh.tolist()))
+        first, rank = np.unique(ids[new], return_inverse=True)
+        ids[new] = known + rank
+        added = list(map(addresses.__getitem__, (first - known).tolist()))
         places.index.update(zip(added, range(known, known + len(added))))
         places.names += added
         self._utxo.frombytes(bytes(8 * len(added)))
@@ -492,9 +506,9 @@ class PlaceTransitionNet:
             utxo[p] += utxo_delta
 
     def seal(self) -> "PlaceTransitionNet":
-        """Freeze the net; all analytics require a sealed net.  Idempotent."""
+        """Freeze the net and drop its name dicts; analytics need a sealed net.  Idempotent."""
         if self._arcs is not None:
-            self._utxo = None
+            self._utxo = self._places.index = self._txs.index = None
             shape = (self.num_places, self.num_transitions)
             # each matrix keeps its side's build arrays as indptr and indices, uncopied
             for side, (rows, offsets) in self._arcs.items():

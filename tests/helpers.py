@@ -25,6 +25,16 @@ def build_net(transactions, seal=True) -> PlaceTransitionNet:
     return net
 
 
+def rawblock_doc(block) -> dict:
+    """The block as a blockchain.info-style rawblock that `convert_rawblock`
+    turns back into it: a coinbase gets one input without `prev_out`."""
+    return {"height": block.height, "tx": [
+        {"hash": tx.tx_id,
+         "inputs": [{"prev_out": {"addr": a}} for a in tx.inputs] or [{}],
+         "out": [{"addr": a} for a in tx.outputs]}
+        for tx in block.transactions]}
+
+
 def mask(size: int, ids) -> np.ndarray:
     """The boolean mask of `size` entries that holds True at `ids`."""
     flags = np.zeros(size, dtype=bool)

@@ -259,7 +259,7 @@ entity_seconds = time.perf_counter() - started
 print(json.dumps({
     "transactions": report.transactions,
     "addresses": report.addresses,
-    "entities": len(partition.entities),
+    "entities": int(partition.place_to_entity.max(initial=-1)) + 1,
     "ingest_seconds": ingest_seconds,
     "entity_seconds": entity_seconds,
     "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,

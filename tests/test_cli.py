@@ -23,7 +23,7 @@ from chainpetri import (
 from chainpetri import cli
 from chainpetri.cli import main
 from conftest import SAMPLE_TXS
-from helpers import POST_PTR, POST_ROWS, PRE_PTR, TX_OFFSETS, TXS, v2_join, v2_split
+from helpers import POST_PTR, POST_ROWS, PRE_PTR, TX_OFFSETS, TXS, rawblock_doc, v2_join, v2_split
 
 
 @pytest.fixture
@@ -43,21 +43,7 @@ def snapshot(tmp_path, block_dir):
 
 
 def _rawblock_text(block):
-    return json.dumps(
-        {
-            "height": block.height,
-            "tx": [
-                {
-                    "hash": tx.tx_id,
-                    "inputs": (
-                        [{"prev_out": {"addr": a}} for a in tx.inputs] if tx.inputs else [{}]
-                    ),
-                    "out": [{"addr": a} for a in tx.outputs],
-                }
-                for tx in block.transactions
-            ],
-        }
-    )
+    return json.dumps(rawblock_doc(block))
 
 
 # -- build ----------------------------------------------------------------------
@@ -75,6 +61,18 @@ def test_build_writes_snapshot_and_report(tmp_path, block_dir, capsys):
     assert report["addresses"] == 6
     assert report["transactions"] == 7
     assert "generated_at" in report
+
+
+def test_build_report_goes_to_the_given_path(tmp_path, block_dir):
+    args = ["--no-timestamp", "build", str(block_dir)]
+    assert main(args + ["--out", str(tmp_path / "default.snap")]) == 0
+    chosen = tmp_path / "reports" / "ingest.json"
+    chosen.parent.mkdir()
+    assert main(args + ["--out", str(tmp_path / "chosen.snap"), "--report", str(chosen)]) == 0
+    assert chosen.read_bytes() == (tmp_path / "default.snap.report.json").read_bytes()
+    assert not (tmp_path / "chosen.snap.report.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "blocks", "chosen.snap", "default.snap", "default.snap.report.json", "reports"]
 
 
 def test_build_empty_directory(tmp_path, capsys):

@@ -23,7 +23,7 @@ from chainpetri import (
     parse_block,
 )
 from conftest import SAMPLE_PRE, SAMPLE_POST
-from helpers import random_transactions, simulate_strict
+from helpers import random_transactions, rawblock_doc, simulate_strict
 
 addr_text = st.text(min_size=1, max_size=8).filter(lambda s: s.strip())
 block_values = st.builds(
@@ -230,20 +230,7 @@ def test_rawblock_malformed_json():
 
 @given(block_values)
 def test_rawblock_round_trip_preserves_addresses(block):
-    raw = {
-        "height": block.height,
-        "tx": [
-            {
-                "hash": tx.tx_id,
-                "inputs": (
-                    [{"prev_out": {"addr": a}} for a in tx.inputs] if tx.inputs else [{}]
-                ),
-                "out": [{"addr": a} for a in tx.outputs],
-            }
-            for tx in block.transactions
-        ],
-    }
-    converted, report = convert_rawblock(json.dumps(raw))
+    converted, report = convert_rawblock(json.dumps(rawblock_doc(block)))
     assert converted == block
     assert report.transactions == len(block.transactions)
     assert report.skipped_inputs == report.skipped_outputs == 0
@@ -296,6 +283,17 @@ def test_ingest_rejects_unordered_heights(sample_blocks):
         ingest(reversed(sample_blocks))
     with pytest.raises(BlockOrderingError):
         ingest([sample_blocks[0], sample_blocks[0]])
+
+
+@pytest.mark.parametrize("mode", ["lax", "strict"])
+@pytest.mark.parametrize("block, error, message", [
+    (Block(0, ["c", "d"], ["A", "B"], [0, 0], [1, 5]), ValueError, "add up to its addresses"),
+    (Block(0, ["c", "d"], ["A", "B"], [0, 0], [1]), ValueError, "one input and one output count"),
+    (Block(0, ["c"], ["A"], [0], [True]), TypeError, "must be integers"),
+], ids=["sum", "length", "bool"])
+def test_ingest_refuses_counts_that_do_not_fit_the_block(mode, block, error, message):
+    with pytest.raises(error, match=message):
+        ingest([block], mode=mode)
 
 
 def test_ingest_bad_mode(sample_blocks):

@@ -578,12 +578,17 @@ def test_snapshot_v2_load_v2_byte_identical(net):
     assert v2_bytes(widened) == first
 
 
-def test_registries_shared_and_looked_up(tmp_path, sample_net):
+def test_registries_shared_and_looked_up(tmp_path, sample_net, sample_blocks):
     from chainpetri import build_entity_net, compute_entities
 
+    # only a net under construction keeps the name -> id dicts
+    built = {mode: ingest(sample_blocks, mode=mode)[0] for mode in ("lax", "strict")}
+    for net in (sample_net, *built.values()):
+        assert net._places.index is None and net._txs.index is None
     path = tmp_path / "net.snapshot"
     sample_net.save_snapshot(path)
-    for net in (sample_net, load_snapshot(path), load_snapshot(io.BytesIO(v2_bytes(sample_net)))):
+    for net in (sample_net, *built.values(), load_snapshot(path),
+                load_snapshot(io.BytesIO(v2_bytes(sample_net)))):
         assert net.place_of("a4") == 3 and net.lookup_place("zz") is None
         assert net.transition_of("t5") == 4
         entity = build_entity_net(net, compute_entities(net)).net
@@ -828,11 +833,19 @@ def test_record_block_checks_its_columns():
         ((["x"], ["A"], [0, 0], [1]), ValueError),
         ((["x"], ["A"], [0], [2]), ValueError),
         ((["x"], ["A", "B"], [-1], [3]), ValueError),
+        ((["x"], ["a", "b"], [0.9], [2.2]), TypeError),
+        ((["x"], ["A"], [0], ["1"]), TypeError),
+        ((["x"], ["A"], [0], [True]), TypeError),
+        ((["x"], ["A"], [0], [2**70]), ValueError),
+        ((["a", "b"], ["A"], [2**62, 2**62], [2**62, 2**62 + 1]), ValueError),  # sum wraps to 1
     ):
         with pytest.raises(error):
             net.record_block(*columns)
     assert _building_state(net) == _building_state(PlaceTransitionNet())
     net.record_block([], [], [], [])
+    net.record_block(["x"], ["A", "B"], np.array([1]), np.array([1], dtype=np.int32))
+    net.record_block(["y"], ["B", "C"], [1], [1])
+    assert net.place_names == ["A", "B", "C"]
     net.seal()
     with pytest.raises(NetSealedError):
         net.record_block(["x"], ["A"], [0], [1])
