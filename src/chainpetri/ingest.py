@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import starmap
 
 from .errors import (
     BlockOrderingError,
@@ -66,12 +67,18 @@ class Block:
     def transactions(self) -> list[TransactionRecord]:
         """The block's transactions as records, made anew on each access.
         Counts that do not fit the block raise as `record_block` raises."""
-        addresses = self.addresses
-        bounds = _offsets(_block_sizes(self.tx_ids, addresses, self.input_counts,
+        return list(starmap(TransactionRecord, self._sides()))
+
+    def _sides(self):
+        """An iterator of (tx_id, inputs, outputs) per transaction, each side a
+        fresh slice of `addresses` made only when it is reached.  Counts that
+        do not fit the block raise here, before the first transaction."""
+        cut = self.addresses.__getitem__
+        bounds = _offsets(_block_sizes(self.tx_ids, self.addresses, self.input_counts,
                                        self.output_counts)).tolist()
-        return [TransactionRecord(tx_id, addresses[start:mid], addresses[mid:end])
-                for tx_id, start, mid, end in zip(self.tx_ids, bounds[0::2], bounds[1::2],
-                                                  bounds[2::2])]
+        inputs = map(cut, map(slice, bounds[0::2], bounds[1::2]))
+        outputs = map(cut, map(slice, bounds[1::2], bounds[2::2]))
+        return zip(self.tx_ids, inputs, outputs)
 
 
 @dataclass(slots=True)
@@ -232,10 +239,11 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
     `PlaceTransitionNet.record_block`.  Strict mode records transaction by
     transaction with `record_transaction` and rejects (records in the
     report, not fatal) one whose input addresses include one with a running
-    utxo count <= 0 at that moment.  A duplicate tx id raises
-    `DuplicateTransactionError` naming the block's height.  Both modes
-    refuse a block whose counts do not fit its addresses, as `record_block`
-    does.
+    count of receives minus spends <= 0 at that moment.  It keeps those
+    counts itself, so a rejected transaction interns nothing.  A duplicate
+    tx id raises `DuplicateTransactionError` naming the block's height.
+    Both modes refuse a block whose counts do not fit its addresses, as
+    `record_block` does.
     """
     if mode not in (LAX, STRICT):
         raise ValueError(f"mode must be '{LAX}' or '{STRICT}', got {mode!r}")
@@ -243,6 +251,8 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
     report = IngestReport()
     last_height = None
     strict = mode == STRICT
+    # strict mode's receives minus spends per address; one never paid has no entry
+    unspent: dict[str, int] = {}
 
     for block in blocks:
         if last_height is not None and block.height <= last_height:
@@ -257,12 +267,19 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
                 net.record_block(block.tx_ids, block.addresses,
                                  block.input_counts, block.output_counts)
                 continue
-            for tx in block.transactions:
-                if tx.inputs and not _spendable(net, tx.inputs):
+            for tx_id, inputs, outputs in block._sides():
+                spent = set(inputs)
+                # counts never fall below 0, so this fails only on an input
+                # never paid (None) or spent out (0)
+                if not all(map(unspent.get, spent)):
                     report.rejects += 1
-                    report.rejected_tx_ids.append(tx.tx_id)
+                    report.rejected_tx_ids.append(tx_id)
                     continue
-                net.record_transaction(tx.tx_id, tx.inputs, tx.outputs)
+                net.record_transaction(tx_id, inputs, outputs)
+                for addr in spent:
+                    unspent[addr] -= 1
+                for addr in set(outputs):
+                    unspent[addr] = unspent.get(addr, 0) + 1
         except DuplicateTransactionError as exc:
             raise DuplicateTransactionError(f"block {block.height}: {exc}") from exc
 
@@ -273,12 +290,3 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
     report.post_arcs = net.post.nnz
     return net, report
 
-
-def _spendable(net: PlaceTransitionNet, inputs) -> bool:
-    # Never-seen addresses have utxo 0 and fail the check; look up without
-    # interning so rejected transactions leave no trace in the registry.
-    for addr in set(inputs):
-        place = net.lookup_place(addr)
-        if place is None or net.utxo_count(place) <= 0:
-            return False
-    return True

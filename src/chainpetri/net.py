@@ -319,12 +319,10 @@ class PlaceTransitionNet:
         self._places = _Registry([], {})
         self._txs = _Registry([], {})
         # Build state, dropped by seal(): per side, the row id of every arc in
-        # column order plus the column offsets into it; per place, the running
-        # receives minus spends that strict ingest reads.
+        # column order plus the column offsets into it.
         self._arcs: dict[str, tuple[array, array]] | None = {
             side: (array("q"), array("q", [0])) for side in SIDES
         }
-        self._utxo: array | None = array("q")
         self._incidence: dict[str, SparseIncidence] = {}
 
     @classmethod
@@ -334,7 +332,7 @@ class PlaceTransitionNet:
         net = cls()
         net._level, net._places, net._txs = level, places, txs
         net._incidence = {"pre": pre, "post": post}
-        net._arcs = net._utxo = None
+        net._arcs = None
         return net
 
     # -- registry ----------------------------------------------------------
@@ -406,7 +404,6 @@ class PlaceTransitionNet:
         idx = places.index.setdefault(addr, new)
         if idx == new:
             places.names.append(addr)
-            self._utxo.append(0)
         return idx
 
     def record_transaction(self, tx_id: str, inputs, outputs) -> int:
@@ -426,8 +423,8 @@ class PlaceTransitionNet:
         t = len(txs.names)
         txs.index[tx_id] = t
         txs.names.append(tx_id)
-        self._append_column("pre", inputs, -1)
-        self._append_column("post", outputs, 1)
+        self._append_column("pre", inputs)
+        self._append_column("post", outputs)
         return t
 
     def _check_transaction(self, tx_id, inputs, outputs, earlier=()):
@@ -480,35 +477,28 @@ class PlaceTransitionNet:
         added = list(map(addresses.__getitem__, (first - known).tolist()))
         places.index.update(zip(added, range(known, known + len(added))))
         places.names += added
-        self._utxo.frombytes(bytes(8 * len(added)))
 
         # one arc per distinct (column, place) of each side, in column order
         width = max(len(places.names), 1)
         cols = np.repeat(np.repeat(np.arange(count), 2), sizes)
         is_post = np.repeat(np.tile([False, True], count), sizes)
-        utxo = np.frombuffer(self._utxo, dtype=np.int64)
-        for side, on, delta in (("pre", ~is_post, -1), ("post", is_post, 1)):
+        for side, on in (("pre", ~is_post), ("post", is_post)):
             col, row = np.divmod(np.unique(cols[on] * width + ids[on]), width)
             rows, offsets = self._arcs[side]
             offsets.frombytes((len(rows) + np.cumsum(np.bincount(col, minlength=count))).tobytes())
             rows.frombytes(row.tobytes())
-            np.add.at(utxo, row, delta)
         txs.index.update(zip(tx_ids, range(len(txs.names), len(txs.names) + count)))
         txs.names += tx_ids
 
-    def _append_column(self, side: str, addrs, utxo_delta: int):
-        ids = sorted({self._intern(a) for a in addrs})
+    def _append_column(self, side: str, addrs):
         rows, offsets = self._arcs[side]
-        rows.extend(ids)
+        rows.extend(sorted({self._intern(a) for a in addrs}))
         offsets.append(len(rows))
-        utxo = self._utxo
-        for p in ids:
-            utxo[p] += utxo_delta
 
     def seal(self) -> "PlaceTransitionNet":
         """Freeze the net and drop its name dicts; analytics need a sealed net.  Idempotent."""
         if self._arcs is not None:
-            self._utxo = self._places.index = self._txs.index = None
+            self._places.index = self._txs.index = None
             shape = (self.num_places, self.num_transitions)
             # each matrix keeps its side's build arrays as indptr and indices, uncopied
             for side, (rows, offsets) in self._arcs.items():
@@ -543,14 +533,10 @@ class PlaceTransitionNet:
         return set(rows.tolist())
 
     def utxo_count(self, place: int) -> int:
-        """Receives minus spends under the binary model (address nets only); the one
-        query that also answers while the net builds, as strict ingest needs."""
+        """Receives minus spends under the binary model (address nets only)."""
         if self._level != ADDRESS_LEVEL:
             raise ValueError("utxo_count is defined on address-level nets only")
-        if self._arcs is None:
-            return self.post.row_nnz(place) - self.pre.row_nnz(place)
-        _check_index(place, self.num_places, "row")
-        return self._utxo[place]
+        return self.post.row_nnz(place) - self.pre.row_nnz(place)
 
     def __repr__(self):
         state = "sealed" if self.sealed else "building"

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainpetri import (
@@ -107,15 +107,20 @@ name_values = st.one_of(
 
 
 @given(name_values, st.lists(name_values, max_size=2), st.lists(name_values, max_size=2))
+# JSON text decodes a high then a low surrogate escape as one astral character
+@example("\ud800\udfff", [], ["a"])
 def test_parse_block_refuses_what_the_net_refuses(tx_id, inputs, outputs):
-    tx = {"tx_id": tx_id, "inputs": inputs, "outputs": outputs}
+    text = json.dumps({"height": 0, "transactions": [
+        {"tx_id": tx_id, "inputs": inputs, "outputs": outputs}]})
     try:
-        parse_block(json.dumps({"height": 0, "transactions": [tx]}))
+        parse_block(text)
         parsed = True
     except BlockValidationError:
         parsed = False
+    # the net gets the values as the parser sees them
+    tx = json.loads(text)["transactions"][0]
     try:
-        PlaceTransitionNet().record_transaction(tx_id, inputs, outputs)
+        PlaceTransitionNet().record_transaction(tx["tx_id"], tx["inputs"], tx["outputs"])
         recorded = True
     except (ValueError, MalformedTransactionError):
         recorded = False
@@ -342,7 +347,10 @@ def test_strict_matches_independent_simulation(seed):
 
     rng = random.Random(seed)
     txs = random_transactions(rng, n_tx=60, pool_size=8, repeat_bias=0.0)
-    blocks = [Block.of(0, [TransactionRecord(t, i, o) for t, i, o in txs])]
+    records = [TransactionRecord(t, i, o) for t, i, o in txs]
+    # split at random points, so running counts carry across blocks
+    cuts = [0, *sorted(rng.sample(range(1, len(records)), k=rng.randint(0, 6))), len(records)]
+    blocks = [Block.of(h, records[a:b]) for h, (a, b) in enumerate(zip(cuts, cuts[1:]))]
     net, report = ingest(blocks, mode="strict")
     accepted, rejected = simulate_strict(txs)
     assert report.rejected_tx_ids == rejected
