@@ -26,7 +26,7 @@ config = GeneratorConfig(
     block_size=25,
 )
 blocks, truth = generate_synthetic(config, seed=42)
-print(f"generated {sum(len(b.transactions) for b in blocks)} transactions "
+print(f"generated {sum(len(b.tx_ids) for b in blocks)} transactions "
       f"in {len(blocks)} blocks")
 
 net, report = ingest(blocks, mode="strict")

@@ -55,7 +55,6 @@ from .ingest import (
     Block,
     IngestReport,
     RawBlockReport,
-    TransactionRecord,
     convert_rawblock,
     encode_block,
     ingest,
@@ -94,7 +93,6 @@ __all__ = [
     "SparseIncidence",
     "SummaryReport",
     "SyntheticGroundTruth",
-    "TransactionRecord",
     "accumulate_only",
     "build_chains",
     "build_entity_net",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from itertools import starmap
 
 from .errors import (
     BlockOrderingError,
@@ -21,17 +20,10 @@ from .errors import (
     BlockValidationError,
     DuplicateTransactionError,
 )
-from .net import NAME_RULE, PlaceTransitionNet, _block_sizes, _offsets, are_names
+from .net import NAME_RULE, PlaceTransitionNet, _block_transactions, _json_strings, are_names
 
 LAX = "lax"
 STRICT = "strict"
-
-
-@dataclass(slots=True)
-class TransactionRecord:
-    tx_id: str
-    inputs: list[str]
-    outputs: list[str]
 
 
 @dataclass(slots=True)
@@ -40,7 +32,7 @@ class Block:
     records it: the height, the tx ids, every address in document order
     (each transaction's inputs, then its outputs) and, per transaction, the
     counts of its inputs and outputs.  `Block.of` builds one from
-    transaction records and `transactions` derives them back."""
+    (tx_id, inputs, outputs) triples and `transactions` yields them back."""
 
     height: int
     tx_ids: list[str]
@@ -49,10 +41,10 @@ class Block:
     output_counts: list[int]
 
     @classmethod
-    def of(cls, height: int, transactions: list[TransactionRecord]) -> "Block":
+    def of(cls, height: int, transactions) -> "Block":
         block = cls(height, [], [], [], [])
         for tx in transactions:
-            block.append(tx.tx_id, tx.inputs, tx.outputs)
+            block.append(*tx)
         return block
 
     def append(self, tx_id: str, inputs: list[str], outputs: list[str]):
@@ -63,22 +55,12 @@ class Block:
         self.input_counts.append(len(inputs))
         self.output_counts.append(len(outputs))
 
-    @property
-    def transactions(self) -> list[TransactionRecord]:
-        """The block's transactions as records, made anew on each access.
-        Counts that do not fit the block raise as `record_block` raises."""
-        return list(starmap(TransactionRecord, self._sides()))
-
-    def _sides(self):
+    def transactions(self):
         """An iterator of (tx_id, inputs, outputs) per transaction, each side a
         fresh slice of `addresses` made only when it is reached.  Counts that
-        do not fit the block raise here, before the first transaction."""
-        cut = self.addresses.__getitem__
-        bounds = _offsets(_block_sizes(self.tx_ids, self.addresses, self.input_counts,
-                                       self.output_counts)).tolist()
-        inputs = map(cut, map(slice, bounds[0::2], bounds[1::2]))
-        outputs = map(cut, map(slice, bounds[1::2], bounds[2::2]))
-        return zip(self.tx_ids, inputs, outputs)
+        do not fit the block raise here, as `record_block` raises."""
+        return _block_transactions(self.tx_ids, self.addresses, self.input_counts,
+                                   self.output_counts)
 
 
 @dataclass(slots=True)
@@ -132,9 +114,9 @@ def _require_names(block: Block) -> Block:
     net's one rule, naming the first transaction that holds one that is not.
     A valid block costs one check of its tx ids and one of its addresses."""
     if not (are_names(block.tx_ids) and are_names(block.addresses)):
-        for tx in block.transactions:
-            if not are_names([tx.tx_id, *tx.inputs, *tx.outputs]):
-                _refuse_names(tx.tx_id)
+        for tx_id, inputs, outputs in block.transactions():
+            if not are_names([tx_id, *inputs, *outputs]):
+                _refuse_names(tx_id)
     return block
 
 
@@ -165,15 +147,15 @@ def parse_block(json_text: str) -> Block:
 
 
 def encode_block(block: Block) -> str:
-    """Canonical JSON encoding; `parse_block(encode_block(b))` reproduces `b`."""
-    doc = {
-        "height": block.height,
-        "transactions": [
-            {"tx_id": tx.tx_id, "inputs": tx.inputs, "outputs": tx.outputs}
-            for tx in block.transactions
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":"))
+    """Canonical JSON encoding, as `json.dumps` of the block document writes it
+    with `ensure_ascii=False` and no spaces; `parse_block(encode_block(b))`
+    reproduces `b`.  Each name is encoded once, then cut by the counts."""
+    txs = _block_transactions(_json_strings(block.tx_ids), _json_strings(block.addresses),
+                              block.input_counts, block.output_counts)
+    return (f'{{"height":{block.height},"transactions":['
+            + ",".join(f'{{"tx_id":{tx_id},"inputs":[{",".join(inputs)}],'
+                       f'"outputs":[{",".join(outputs)}]}}' for tx_id, inputs, outputs in txs)
+            + "]}")
 
 
 def convert_rawblock(json_text: str) -> tuple[Block, RawBlockReport]:
@@ -267,7 +249,7 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
                 net.record_block(block.tx_ids, block.addresses,
                                  block.input_counts, block.output_counts)
                 continue
-            for tx_id, inputs, outputs in block._sides():
+            for tx_id, inputs, outputs in block.transactions():
                 spent = set(inputs)
                 # counts never fall below 0, so this fails only on an input
                 # never paid (None) or spent out (0)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import tokenize
 from array import array
 from json.encoder import encode_basestring
 from typing import NamedTuple
@@ -214,6 +215,18 @@ def _block_sizes(tx_ids, addresses, input_counts, output_counts) -> np.ndarray:
     if not fits:
         raise ValueError("the counts of a block must add up to its addresses")
     return sizes
+
+
+def _block_transactions(tx_ids, addresses, input_counts, output_counts):
+    """An iterator of (tx_id, inputs, outputs) per transaction of a block given
+    column-wise, each side a fresh slice of `addresses` made only when it is
+    reached.  Counts that do not fit the block raise as in `_block_sizes`,
+    before the first transaction."""
+    cut = addresses.__getitem__
+    bounds = _offsets(_block_sizes(tx_ids, addresses, input_counts, output_counts)).tolist()
+    inputs = map(cut, map(slice, bounds[0::2], bounds[1::2]))
+    outputs = map(cut, map(slice, bounds[1::2], bounds[2::2]))
+    return zip(tx_ids, inputs, outputs)
 
 
 def _check_index(index: int, size: int, what: str):
@@ -459,10 +472,10 @@ class PlaceTransitionNet:
         places, txs = self._places, self._txs
         if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
                 and len(set(tx_ids)) == count and txs.index.keys().isdisjoint(tx_ids)):
-            earlier, end = set(), 0
-            for tx_id, n_in, n_out in zip(tx_ids, input_counts, output_counts):
-                start, mid, end = end, end + n_in, end + n_in + n_out
-                self._check_transaction(tx_id, addresses[start:mid], addresses[mid:end], earlier)
+            earlier = set()
+            for tx_id, inputs, outputs in _block_transactions(tx_ids, addresses, input_counts,
+                                                              output_counts):
+                self._check_transaction(tx_id, inputs, outputs, earlier)
                 earlier.add(tx_id)
 
         # Intern in one pass: an address first seen at position k gets the
@@ -622,7 +635,9 @@ def _incidence(indptr, rows, section: str, shape) -> SparseIncidence:
 def _read_array(fh, section: str, dtypes: tuple[str, ...] = ("int32", "int64")) -> np.ndarray:
     try:
         array = np.lib.format.read_array(fh, allow_pickle=False)
-    except (ValueError, MemoryError) as exc:  # truncated, damaged, pickled, oversized
+    # truncated, damaged, pickled or oversized; a header that loses its closing
+    # brace fails numpy's retry through tokenize, and a shape past int64 overflows
+    except (ValueError, MemoryError, OverflowError, tokenize.TokenError) as exc:
         raise SnapshotError(f"unreadable array: {exc}", section) from exc
     if array.ndim != 1 or array.dtype not in dtypes:
         raise SnapshotError(f"unexpected {array.dtype} array of shape {array.shape}", section)

@@ -21,7 +21,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import GeneratorConfigError
-from .ingest import Block, TransactionRecord
+from .ingest import Block
 
 
 def _is_int(value) -> bool:
@@ -144,7 +144,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> tuple[list[Block],
     rng = random.Random(seed)
     mint = _Minter(rng)
     truth = SyntheticGroundTruth()
-    units: list[list[TransactionRecord]] = []
+    units: list[list[tuple]] = []
 
     for size in config.entity_sizes:
         units.append(_entity_unit(size, mint, rng, truth))
@@ -163,7 +163,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> tuple[list[Block],
     return blocks, truth
 
 
-def _entity_unit(size, mint, rng, truth) -> list[TransactionRecord]:
+def _entity_unit(size, mint, rng, truth) -> list[tuple]:
     # One coinbase funds all members; one transaction co-spends them,
     # which is exactly what the shared-input clustering detects.
     members = [mint.addr() for _ in range(size)]
@@ -173,12 +173,12 @@ def _entity_unit(size, mint, rng, truth) -> list[TransactionRecord]:
     truth.entity_partition.append(set(members))
     truth.deposit_addresses.update(outs)
     return [
-        TransactionRecord(mint.tx_id(), [], list(members)),
-        TransactionRecord(mint.tx_id(), spend_inputs, outs),
+        (mint.tx_id(), [], members),
+        (mint.tx_id(), spend_inputs, outs),
     ]
 
 
-def _repeat_unit(size, mint, truth) -> list[TransactionRecord]:
+def _repeat_unit(size, mint, truth) -> list[tuple]:
     # The spender address is funded `size` times and spent `size` times, so
     # it is never disposable; padding keeps the funding coinbases distinct.
     spender = mint.addr()
@@ -187,21 +187,21 @@ def _repeat_unit(size, mint, truth) -> list[TransactionRecord]:
     for _ in range(size):
         pad = mint.addr()
         truth.deposit_addresses.add(pad)
-        records.append(TransactionRecord(mint.tx_id(), [], [spender, pad]))
+        records.append((mint.tx_id(), [], [spender, pad]))
     group = []
     for _ in range(size):
         tx_id = mint.tx_id()
         group.append(tx_id)
-        records.append(TransactionRecord(tx_id, [spender], list(outs)))
+        records.append((tx_id, [spender], outs))
     truth.planted_repeat_groups.append(set(group))
     truth.deposit_addresses.update(outs)
     return records
 
 
-def _chain_unit(length, mint, rng, truth) -> list[TransactionRecord]:
+def _chain_unit(length, mint, rng, truth) -> list[tuple]:
     hops = [mint.addr() for _ in range(length + 1)]
     pad = mint.addr()
-    records = [TransactionRecord(mint.tx_id(), [], [hops[0], pad])]
+    records = [(mint.tx_id(), [], [hops[0], pad])]
     truth.deposit_addresses.add(pad)
     link_ids = []
     for i in range(length):
@@ -211,16 +211,16 @@ def _chain_unit(length, mint, rng, truth) -> list[TransactionRecord]:
         rng.shuffle(outputs)
         tx_id = mint.tx_id()
         link_ids.append(tx_id)
-        records.append(TransactionRecord(tx_id, [hops[i]], outputs))
+        records.append((tx_id, [hops[i]], outputs))
     terminal = mint.addr()
     truth.deposit_addresses.add(terminal)
-    records.append(TransactionRecord(mint.tx_id(), [hops[-1]], [terminal]))
+    records.append((mint.tx_id(), [hops[-1]], [terminal]))
     truth.planted_chains.append(link_ids)
     truth.chain_addresses.append(list(hops))
     return records
 
 
-def _filler_unit(count, per_filler, mint, truth) -> list[TransactionRecord]:
+def _filler_unit(count, per_filler, mint, truth) -> list[tuple]:
     spenders = [mint.addr() for _ in range(count)]
     records = []
     if count >= 3:
@@ -228,21 +228,21 @@ def _filler_unit(count, per_filler, mint, truth) -> list[TransactionRecord]:
         # coinbase output sets and no padding addresses.
         for i in range(count):
             pair = [spenders[i], spenders[(i + 1) % count]]
-            records.append(TransactionRecord(mint.tx_id(), [], pair))
+            records.append((mint.tx_id(), [], pair))
     else:
         for spender in spenders:
             for _ in range(2):
                 pad = mint.addr()
                 truth.deposit_addresses.add(pad)
-                records.append(TransactionRecord(mint.tx_id(), [], [spender, pad]))
+                records.append((mint.tx_id(), [], [spender, pad]))
     for spender in spenders:
         outs = [mint.addr() for _ in range(per_filler)]
         truth.deposit_addresses.update(outs)
-        records.append(TransactionRecord(mint.tx_id(), [spender], outs))
+        records.append((mint.tx_id(), [spender], outs))
     return records
 
 
-def _interleave(units, rng) -> list[TransactionRecord]:
+def _interleave(units, rng) -> list[tuple]:
     """Merge units uniformly at random, preserving each unit's inner order."""
     order = []
     for uid, unit in enumerate(units):

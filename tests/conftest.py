@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chainpetri import Block, TransactionRecord
+from chainpetri import Block
 
 from helpers import build_net
 
@@ -90,6 +90,6 @@ def sample_net():
 def sample_blocks():
     split = 4
     return [
-        Block.of(0, [TransactionRecord(t, list(i), list(o)) for t, i, o in SAMPLE_TXS[:split]]),
-        Block.of(1, [TransactionRecord(t, list(i), list(o)) for t, i, o in SAMPLE_TXS[split:]]),
+        Block.of(0, SAMPLE_TXS[:split]),
+        Block.of(1, SAMPLE_TXS[split:]),
     ]

@@ -7,7 +7,9 @@ checked against a second, unrelated route.
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import random
 from collections import Counter
 
@@ -29,10 +31,28 @@ def rawblock_doc(block) -> dict:
     """The block as a blockchain.info-style rawblock that `convert_rawblock`
     turns back into it: a coinbase gets one input without `prev_out`."""
     return {"height": block.height, "tx": [
-        {"hash": tx.tx_id,
-         "inputs": [{"prev_out": {"addr": a}} for a in tx.inputs] or [{}],
-         "out": [{"addr": a} for a in tx.outputs]}
-        for tx in block.transactions]}
+        {"hash": tx_id,
+         "inputs": [{"prev_out": {"addr": a}} for a in inputs] or [{}],
+         "out": [{"addr": a} for a in outputs]}
+        for tx_id, inputs, outputs in block.transactions()]}
+
+
+def block_json(block) -> str:
+    """The canonical encoding of the block, made by `json.dumps` of its document."""
+    return json.dumps({"height": block.height, "transactions": [
+        {"tx_id": tx_id, "inputs": inputs, "outputs": outputs}
+        for tx_id, inputs, outputs in block.transactions()]},
+        ensure_ascii=False, separators=(",", ":"))
+
+
+def synth_sha256(directory) -> str:
+    """The sha256 over what `synth` wrote to `directory`: its block files in
+    height order, then `ground_truth.json`."""
+    blocks = sorted(directory.glob("block_*.json"), key=lambda path: int(path.stem[6:]))
+    digest = hashlib.sha256()
+    for path in [*blocks, directory / "ground_truth.json"]:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def mask(size: int, ids) -> np.ndarray:
@@ -57,6 +77,32 @@ def v2_split(data: bytes):
     magic, rest = data.split(b"\n", 1)
     stream = io.BytesIO(rest)
     return magic + b"\n", [np.lib.format.read_array(stream) for _ in range(8)]
+
+
+def v2_headers(data: bytes):
+    """The magic line and the eight records of a v2 snapshot, each split into
+    a list of its .npy header and its data, as bytes."""
+    fmt = np.lib.format
+    magic, rest = data.split(b"\n", 1)
+    stream, records = io.BytesIO(rest), []
+    for _ in range(8):
+        start = stream.tell()
+        version = fmt.read_magic(stream)
+        read = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+        shape, _, dtype = read(stream)
+        end = stream.tell()
+        size = int(np.prod(shape)) * dtype.itemsize
+        records.append([rest[start:end], rest[end:end + size]])
+        stream.seek(end + size)
+    return magic + b"\n", records
+
+
+def npy_header(fields: dict) -> bytes:
+    """A version 1.0 .npy header holding the reprs of `fields`, valid or not,
+    padded with spaces so that the data after it is 64-byte aligned."""
+    text = "{" + "".join(f"{key!r}: {value!r}, " for key, value in fields.items()) + "}"
+    text += " " * (-(len(text) + 11) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("latin-1")
 
 
 def v2_join(magic: bytes, records) -> bytes:

@@ -207,7 +207,7 @@ def test_criterion_7():
             block_size=4096,
         )
         blocks, _ = generate_synthetic(config, seed=seed)
-        assert sum(len(b.transactions) for b in blocks) <= 100_000 + 64
+        assert sum(len(b.tx_ids) for b in blocks) <= 100_000 + 64
         net, _ = ingest(blocks)
         spots = rng.sample(range(net.num_transitions), k=min(50, net.num_transitions))
         buffer = io.BytesIO()
@@ -355,7 +355,7 @@ def test_criterion_9(tmp_path):
     txs = []
     for block in _rawblock_prefix():
         converted, _ = convert_rawblock(json.dumps(block))
-        txs.extend((t.tx_id, t.inputs, t.outputs) for t in converted.transactions)
+        txs.extend(converted.transactions())
 
     assert compute_entities(net).entities == coinput_components(txs, net.place_names)
 

@@ -23,7 +23,19 @@ from chainpetri import (
 from chainpetri import cli
 from chainpetri.cli import main
 from conftest import SAMPLE_TXS
-from helpers import POST_PTR, POST_ROWS, PRE_PTR, TX_OFFSETS, TXS, rawblock_doc, v2_join, v2_split
+from helpers import (
+    PLACES,
+    POST_PTR,
+    POST_ROWS,
+    PRE_PTR,
+    TX_OFFSETS,
+    TXS,
+    npy_header,
+    rawblock_doc,
+    v2_headers,
+    v2_join,
+    v2_split,
+)
 
 
 @pytest.fixture
@@ -196,8 +208,8 @@ def test_build_orders_directory_numerically(tmp_path, sample_blocks):
     directory = tmp_path / "blocks"
     directory.mkdir()
     # height 10 would sort before height 2 lexicographically
-    (directory / "block_2.json").write_text(encode_block(Block.of(2, sample_blocks[0].transactions)))
-    (directory / "block_10.json").write_text(encode_block(Block.of(10, sample_blocks[1].transactions)))
+    (directory / "block_2.json").write_text(encode_block(Block.of(2, sample_blocks[0].transactions())))
+    (directory / "block_10.json").write_text(encode_block(Block.of(10, sample_blocks[1].transactions())))
     out = tmp_path / "net.json"
     assert main(["build", str(directory), "--out", str(out)]) == 0
 
@@ -459,7 +471,7 @@ def test_build_refuses_a_recorded_file_that_reads_differently(tmp_path, monkeypa
 
 @pytest.mark.parametrize("layout", ["files", "directory"])
 def test_build_equal_heights_exit_2(tmp_path, capsys, sample_blocks, layout):
-    first, second = (Block.of(3, block.transactions) for block in sample_blocks)
+    first, second = (Block.of(3, block.transactions()) for block in sample_blocks)
     if layout == "files":
         inputs = [tmp_path / "a.json", tmp_path / "b.json"]
     else:
@@ -645,6 +657,24 @@ def test_top_on_truncated_binary_snapshot_exit_4(snapshot, capsys):
     snapshot.write_bytes(data[:-3])
     assert main(["top", str(snapshot)]) == 4
     assert "post" in capsys.readouterr().err
+
+
+def test_snapshot_header_without_closing_brace_exit_4(tmp_path, snapshot, capsys):
+    # numpy retries such a header through tokenize, which raises TokenError
+    magic, records = v2_headers(snapshot.read_bytes())
+    records[PLACES][0] = records[PLACES][0].replace(b"}", b" ")
+    snapshot.write_bytes(magic + b"".join(map(b"".join, records)))
+    assert main(["entities", str(snapshot), "--out", str(tmp_path / "out")]) == 4
+    assert "places: unreadable array" in capsys.readouterr().err
+
+
+def test_snapshot_header_shape_past_int64_exit_4(tmp_path, snapshot, capsys):
+    magic, records = v2_headers(snapshot.read_bytes())
+    records[PRE_PTR][0] = npy_header({"descr": "<i4", "fortran_order": False,
+                                      "shape": (99999999999999999999,)})
+    snapshot.write_bytes(magic + b"".join(map(b"".join, records)))
+    assert main(["entities", str(snapshot), "--out", str(tmp_path / "out")]) == 4
+    assert "pre: unreadable array" in capsys.readouterr().err
 
 
 def test_top_on_non_utf8_file_exit_4(tmp_path, capsys):

@@ -16,25 +16,23 @@ from chainpetri import (
     BlockValidationError,
     MalformedTransactionError,
     PlaceTransitionNet,
-    TransactionRecord,
     convert_rawblock,
     encode_block,
     ingest,
     parse_block,
 )
 from conftest import SAMPLE_PRE, SAMPLE_POST
-from helpers import random_transactions, rawblock_doc, simulate_strict
+from helpers import block_json, random_transactions, rawblock_doc, simulate_strict
 
 addr_text = st.text(min_size=1, max_size=8).filter(lambda s: s.strip())
 block_values = st.builds(
     Block.of,
     height=st.integers(min_value=0, max_value=10**9),
     transactions=st.lists(
-        st.builds(
-            TransactionRecord,
-            tx_id=addr_text,
-            inputs=st.lists(addr_text, max_size=3),
-            outputs=st.lists(addr_text, min_size=1, max_size=3),
+        st.tuples(
+            addr_text,
+            st.lists(addr_text, max_size=3),
+            st.lists(addr_text, min_size=1, max_size=3),
         ),
         max_size=6,
     ),
@@ -50,13 +48,13 @@ def test_parse_block_basic():
         '"note": "ignored"}], "height": 3, "weird": null}'
     )
     assert block.height == 3
-    assert block.transactions == [TransactionRecord("x", ["A"], ["B"])]
+    assert list(block.transactions()) == [("x", ["A"], ["B"])]
 
 
 def test_parse_block_empty():
     block = parse_block('{"height":0,"transactions":[]}')
     assert block.height == 0
-    assert block.transactions == []
+    assert list(block.transactions()) == []
 
 
 def test_parse_block_empty_outputs():
@@ -93,8 +91,12 @@ def test_parse_block_schema_violations(text):
 
 
 @given(block_values)
+# quotes, backslashes, control characters, DEL, line and paragraph separators
+# and non-ASCII, which JSON escapes or keeps in their own ways
+@example(Block.of(7, [('"\\\x00\x1f', ["\x7f\u2028"], ["\u2029\u00e9\U0001f600", "t\tx\n"])]))
 def test_encode_parse_identity(block):
     assert parse_block(encode_block(block)) == block
+    assert encode_block(block) == block_json(block)
 
 
 # values a name may or may not be: empty, lone surrogates, astral characters
@@ -134,7 +136,7 @@ def test_rawblock_coinbase():
     block, report = convert_rawblock(
         json.dumps({"height": 1, "tx": [{"hash": "c", "inputs": [{}], "out": [{"addr": "M"}]}]})
     )
-    assert block.transactions == [TransactionRecord("c", [], ["M"])]
+    assert list(block.transactions()) == [("c", [], ["M"])]
     assert report.transactions == 1
     assert report.skipped_outputs == 0
 
@@ -154,7 +156,7 @@ def test_rawblock_skips_addressless_output():
             }
         )
     )
-    assert block.transactions[0].outputs == ["A"]
+    assert list(block.transactions()) == [("t", [], ["A"])]
     assert report.skipped_outputs == 1
 
 
@@ -167,7 +169,7 @@ def test_rawblock_spend_chain():
         ],
     }
     block, report = convert_rawblock(json.dumps(raw))
-    assert block.transactions[1].inputs == ["A"]
+    assert list(block.transactions()) == [("t1", [], ["A"]), ("t2", ["A"], ["B"])]
     assert report.transactions == 2
 
 
@@ -183,7 +185,7 @@ def test_rawblock_skipped_input_counted():
         ],
     }
     block, report = convert_rawblock(json.dumps(raw))
-    assert block.transactions[0].inputs == []
+    assert list(block.transactions()) == [("t", [], ["A"])]
     assert report.skipped_inputs == 1
 
 
@@ -196,7 +198,7 @@ def test_rawblock_drops_transaction_without_usable_outputs():
         ],
     }
     block, report = convert_rawblock(json.dumps(raw))
-    assert [t.tx_id for t in block.transactions] == ["kept"]
+    assert block.tx_ids == ["kept"]
     assert report.skipped_transactions == 1
     assert report.skipped_outputs == 1
 
@@ -237,7 +239,7 @@ def test_rawblock_malformed_json():
 def test_rawblock_round_trip_preserves_addresses(block):
     converted, report = convert_rawblock(json.dumps(rawblock_doc(block)))
     assert converted == block
-    assert report.transactions == len(block.transactions)
+    assert report.transactions == len(block.tx_ids)
     assert report.skipped_inputs == report.skipped_outputs == 0
 
 
@@ -249,7 +251,7 @@ def test_rawblock_preserves_address_multiset():
         ],
     }
     block, _ = convert_rawblock(json.dumps(raw))
-    assert block.transactions[0].outputs == ["A", "A", "B"]
+    assert list(block.transactions()) == [("f", [], ["A", "A", "B"])]
 
 
 # -- ingest ---------------------------------------------------------------------
@@ -311,9 +313,9 @@ def test_strict_rejects_unfunded_spend():
         Block.of(
             0,
             [
-                TransactionRecord("fund", [], ["A"]),
-                TransactionRecord("bad", ["Z"], ["B"]),
-                TransactionRecord("ok", ["A"], ["C"]),
+                ("fund", [], ["A"]),
+                ("bad", ["Z"], ["B"]),
+                ("ok", ["A"], ["C"]),
             ],
         )
     ]
@@ -331,9 +333,9 @@ def test_strict_rejects_double_spend():
         Block.of(
             0,
             [
-                TransactionRecord("fund", [], ["A"]),
-                TransactionRecord("s1", ["A"], ["B"]),
-                TransactionRecord("s2", ["A"], ["C"]),
+                ("fund", [], ["A"]),
+                ("s1", ["A"], ["B"]),
+                ("s2", ["A"], ["C"]),
             ],
         )
     ]
@@ -347,10 +349,9 @@ def test_strict_matches_independent_simulation(seed):
 
     rng = random.Random(seed)
     txs = random_transactions(rng, n_tx=60, pool_size=8, repeat_bias=0.0)
-    records = [TransactionRecord(t, i, o) for t, i, o in txs]
     # split at random points, so running counts carry across blocks
-    cuts = [0, *sorted(rng.sample(range(1, len(records)), k=rng.randint(0, 6))), len(records)]
-    blocks = [Block.of(h, records[a:b]) for h, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    cuts = [0, *sorted(rng.sample(range(1, len(txs)), k=rng.randint(0, 6))), len(txs)]
+    blocks = [Block.of(h, txs[a:b]) for h, (a, b) in enumerate(zip(cuts, cuts[1:]))]
     net, report = ingest(blocks, mode="strict")
     accepted, rejected = simulate_strict(txs)
     assert report.rejected_tx_ids == rejected
@@ -363,7 +364,7 @@ def test_lax_never_rejects(seed):
 
     rng = random.Random(seed)
     txs = random_transactions(rng, n_tx=50, pool_size=6)
-    blocks = [Block.of(0, [TransactionRecord(t, i, o) for t, i, o in txs])]
+    blocks = [Block.of(0, txs)]
     _, report = ingest(blocks, mode="lax")
     assert report.rejects == 0
     assert report.transactions == len(txs)

@@ -22,7 +22,6 @@ from chainpetri import (
     PlaceTransitionNet,
     SnapshotError,
     SparseIncidence,
-    TransactionRecord,
     generate_synthetic,
     ingest,
     load_snapshot,
@@ -412,7 +411,7 @@ def test_snapshot_round_trip_synthetic():
         block_size=512,
     )
     blocks, _ = generate_synthetic(config, seed=23)
-    assert sum(len(b.transactions) for b in blocks) >= 10_000
+    assert sum(len(b.tx_ids) for b in blocks) >= 10_000
     net, _ = ingest(blocks)
     loaded = load_snapshot(io.BytesIO(v2_bytes(net)))
     _assert_nets_equal(net, loaded)
@@ -758,7 +757,7 @@ def test_record_transaction_takes_a_list_or_tuple_per_side(in_kind, inputs, out_
 
 
 def _columns(txs):
-    block = Block.of(0, [TransactionRecord(t, list(i), list(o)) for t, i, o in txs])
+    block = Block.of(0, txs)
     return block.tx_ids, block.addresses, block.input_counts, block.output_counts
 
 
@@ -853,8 +852,8 @@ def test_record_block_checks_its_columns():
 
 @pytest.mark.parametrize("heights", [(0, 0), (0, 1)], ids=["within-block", "across-blocks"])
 def test_ingest_duplicate_names_its_block(heights):
-    first = [TransactionRecord("a", [], ["A"])]
-    second = [TransactionRecord("b", ["A"], ["B"]), TransactionRecord("a", [], ["C"])]
+    first = [("a", [], ["A"])]
+    second = [("b", ["A"], ["B"]), ("a", [], ["C"])]
     if heights[0] == heights[1]:
         blocks = [Block.of(4, first + second)]
     else:

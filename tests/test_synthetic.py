@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from chainpetri import (
     ingest,
     repeated_groups,
 )
+from chainpetri.cli import main
+from helpers import synth_sha256
 
 MIXED = GeneratorConfig(
     entity_sizes=[2, 3, 6],
@@ -44,6 +48,24 @@ def test_same_seed_byte_identical():
     assert [encode_block(b) for b in first] == [encode_block(b) for b in second]
 
 
+# sha256 over `synth`'s block files and ground truth for MIXED, by seed; a
+# change to the generator or to the block encoding that moves a byte moves these
+SYNTH_SHA256 = {
+    1: "2b625799c704d8afefd925797a4f373ed636b4a668302b080a99d5ef144a4646",
+    2: "1acf9abfedd8d66e6509bc4c00f48d96fd1ee2540aaa8dd3040c3a3c20360ff7",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYNTH_SHA256))
+def test_synth_output_pinned(tmp_path, seed):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(MIXED.as_dict()))
+    out = tmp_path / "blocks"
+    assert main(["--no-timestamp", "synth", "--config", str(config), "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    assert synth_sha256(out) == SYNTH_SHA256[seed]
+
+
 def test_different_seed_differs():
     first, _ = generate_synthetic(MIXED, seed=7)
     second, _ = generate_synthetic(MIXED, seed=8)
@@ -60,15 +82,15 @@ def test_planned_count_matches_emitted():
         GeneratorConfig(entity_sizes=[2], repeat_group_sizes=[5]),
     ):
         blocks, _ = generate_synthetic(config, seed=3)
-        emitted = sum(len(b.transactions) for b in blocks)
+        emitted = sum(len(b.tx_ids) for b in blocks)
         assert emitted == config.planned_transactions()
 
 
 def test_heights_and_block_size():
     blocks, _ = generate_synthetic(MIXED, seed=5)
     assert [b.height for b in blocks] == list(range(len(blocks)))
-    assert all(len(b.transactions) <= MIXED.block_size for b in blocks)
-    assert all(len(b.transactions) == MIXED.block_size for b in blocks[:-1])
+    assert all(len(b.tx_ids) <= MIXED.block_size for b in blocks)
+    assert all(len(b.tx_ids) == MIXED.block_size for b in blocks[:-1])
 
 
 def test_stream_is_strict_valid():
@@ -146,7 +168,7 @@ def test_invalid_configs_rejected(config):
 def test_config_budget_allows_exact_fit():
     config = GeneratorConfig(chain_lengths=[3], max_transactions=5)
     blocks, _ = generate_synthetic(config, seed=1)
-    assert sum(len(b.transactions) for b in blocks) == 5
+    assert sum(len(b.tx_ids) for b in blocks) == 5
 
 
 def test_config_dict_round_trip():
@@ -160,8 +182,6 @@ def test_config_unknown_field_rejected():
 
 
 def test_truth_as_dict_is_json_friendly():
-    import json
-
     _, truth = generate_synthetic(MIXED, seed=4)
     doc = json.loads(json.dumps(truth.as_dict()))
     assert set(doc) == {

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from chainpetri import GeneratorConfig, generate_synthetic, load_snapshot
+from helpers import synth_sha256
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -18,7 +19,9 @@ def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
                            "--scale", "0.0005", "--runs", "2", "--mode", "strict"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    runs = [json.loads(line) for line in done.stdout.splitlines()]
+    synth, *runs = [json.loads(line) for line in done.stdout.splitlines()]
+    assert synth["command"] == "synth" and synth["wall_s"] > 0 and synth["peak_rss_mb"] > 0
+    assert synth["sha256"] == synth_sha256(tmp_path / "blocks")
     assert [run["run"] for run in runs] == [0, 1]
     for run in runs:
         assert run["mode"] == "strict" and run["wall_s"] > 0 and run["peak_rss_mb"] > 0

@@ -5,9 +5,11 @@ usage: python3 tools/c8_build.py WORKDIR [--runs N] [--mode lax|strict] [--scale
 Writes the criterion-8 generator config (seed 8, 1,005,000 transactions and
 about 1,209,000 addresses at scale 1) to WORKDIR, runs `chainpetri synth`
 once into WORKDIR/blocks, then runs `chainpetri build` on those blocks N
-times, each in its own child process.  For each build it prints one JSON
-line: the wall seconds, the child's peak RSS from `os.wait4` and the sha256
-of the snapshot and of its report (written with `--no-timestamp`).  The
+times, each command in its own child process.  It prints one JSON line for
+the synth run, then one for each build: the wall seconds and the child's
+peak RSS from `os.wait4`, then for synth the sha256 over its block files in
+height order and `ground_truth.json`, and for a build the sha256 of the
+snapshot and of its report.  Every command runs with `--no-timestamp`.  The
 children import chainpetri from the `src/` directory beside this script;
 this process imports neither chainpetri nor numpy, so its own size does not
 reach the children's peaks.  `--scale` multiplies the counts of planted
@@ -64,12 +66,22 @@ def chainpetri(*args: str):
     return wall, usage.ru_maxrss / 1024
 
 
-def sha256(path: str) -> str:
+def sha256(*paths: str) -> str:
+    """The sha256 of the files' bytes, read in turn."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    for path in paths:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
     return digest.hexdigest()
+
+
+def synth_files(directory: str) -> list[str]:
+    """What `synth` wrote: its block files in height order, then the ground truth."""
+    heights = sorted(int(name[6:-5]) for name in os.listdir(directory)
+                     if name.startswith("block_") and name.endswith(".json"))
+    return [os.path.join(directory, f"block_{height}.json") for height in heights] + [
+        os.path.join(directory, "ground_truth.json")]
 
 
 def main(argv=None) -> int:
@@ -85,7 +97,9 @@ def main(argv=None) -> int:
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(scaled_config(args.scale), fh)
     blocks = os.path.join(args.workdir, "blocks")
-    chainpetri("synth", "--config", config, "--seed", str(SEED), "--out", blocks)
+    wall, peak = chainpetri("synth", "--config", config, "--seed", str(SEED), "--out", blocks)
+    print(json.dumps({"command": "synth", "wall_s": round(wall, 3), "peak_rss_mb": round(peak, 1),
+                      "sha256": sha256(*synth_files(blocks))}), flush=True)
 
     snapshot = os.path.join(args.workdir, "net.snap")
     for run in range(args.runs):
