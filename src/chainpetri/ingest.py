@@ -12,7 +12,7 @@ which each parser applies once per block.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import (
     BlockOrderingError,
@@ -20,47 +20,10 @@ from .errors import (
     BlockValidationError,
     DuplicateTransactionError,
 )
-from .net import NAME_RULE, PlaceTransitionNet, _block_transactions, _json_strings, are_names
+from .net import NAME_RULE, Block, PlaceTransitionNet, _json_strings, are_names
 
 LAX = "lax"
 STRICT = "strict"
-
-
-@dataclass(slots=True)
-class Block:
-    """One block held column-wise, as both parsers return it and as `ingest`
-    records it: the height, the tx ids, every address in document order
-    (each transaction's inputs, then its outputs) and, per transaction, the
-    counts of its inputs and outputs.  `Block.of` builds one from
-    (tx_id, inputs, outputs) triples and `transactions` yields them back."""
-
-    height: int
-    tx_ids: list[str]
-    addresses: list[str]
-    input_counts: list[int]
-    output_counts: list[int]
-
-    @classmethod
-    def of(cls, height: int, transactions) -> "Block":
-        block = cls(height, [], [], [], [])
-        for tx in transactions:
-            block.append(*tx)
-        return block
-
-    def append(self, tx_id: str, inputs: list[str], outputs: list[str]):
-        """Add one transaction after the others; nothing is checked."""
-        self.tx_ids.append(tx_id)
-        self.addresses += inputs
-        self.addresses += outputs
-        self.input_counts.append(len(inputs))
-        self.output_counts.append(len(outputs))
-
-    def transactions(self):
-        """An iterator of (tx_id, inputs, outputs) per transaction, each side a
-        fresh slice of `addresses` made only when it is reached.  Counts that
-        do not fit the block raise here, as `record_block` raises."""
-        return _block_transactions(self.tx_ids, self.addresses, self.input_counts,
-                                   self.output_counts)
 
 
 @dataclass(slots=True)
@@ -150,8 +113,8 @@ def encode_block(block: Block) -> str:
     """Canonical JSON encoding, as `json.dumps` of the block document writes it
     with `ensure_ascii=False` and no spaces; `parse_block(encode_block(b))`
     reproduces `b`.  Each name is encoded once, then cut by the counts."""
-    txs = _block_transactions(_json_strings(block.tx_ids), _json_strings(block.addresses),
-                              block.input_counts, block.output_counts)
+    txs = replace(block, tx_ids=_json_strings(block.tx_ids),
+                  addresses=_json_strings(block.addresses)).transactions()
     return (f'{{"height":{block.height},"transactions":['
             + ",".join(f'{{"tx_id":{tx_id},"inputs":[{",".join(inputs)}],'
                        f'"outputs":[{",".join(outputs)}]}}' for tx_id, inputs, outputs in txs)
@@ -222,10 +185,11 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
     transaction with `record_transaction` and rejects (records in the
     report, not fatal) one whose input addresses include one with a running
     count of receives minus spends <= 0 at that moment.  It keeps those
-    counts itself, so a rejected transaction interns nothing.  A duplicate
-    tx id raises `DuplicateTransactionError` naming the block's height.
-    Both modes refuse a block whose counts do not fit its addresses, as
-    `record_block` does.
+    counts itself, so a rejected transaction interns nothing.  Both modes
+    first refuse a malformed block with the error `record_block` raises:
+    the first a `record_transaction` loop over the whole block would meet.
+    A duplicate tx id raises `DuplicateTransactionError` naming the block's
+    height.
     """
     if mode not in (LAX, STRICT):
         raise ValueError(f"mode must be '{LAX}' or '{STRICT}', got {mode!r}")
@@ -246,9 +210,9 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
         report.blocks += 1
         try:
             if not strict:
-                net.record_block(block.tx_ids, block.addresses,
-                                 block.input_counts, block.output_counts)
+                net.record_block(block)
                 continue
+            net._check_block(block)
             for tx_id, inputs, outputs in block.transactions():
                 spent = set(inputs)
                 # counts never fall below 0, so this fails only on an input

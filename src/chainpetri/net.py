@@ -12,6 +12,7 @@ import itertools
 import os
 import tokenize
 from array import array
+from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import NamedTuple
 
@@ -194,39 +195,66 @@ def _ones(count: int) -> np.ndarray:
     return np.broadcast_to(np.int64(1), count)
 
 
-def _block_sizes(tx_ids, addresses, input_counts, output_counts) -> np.ndarray:
-    """Each transaction's input count, then its output count, in turn, for a
-    block given column-wise.  Raises TypeError on a count that is not an
-    integer (a bool is not), and ValueError unless there is one input and one
-    output count per tx id, none negative, and they add up to the addresses."""
-    count = len(tx_ids)
-    if len(input_counts) != count or len(output_counts) != count:
-        raise ValueError("a block needs one input and one output count per transaction")
-    kinds = {*map(type, input_counts), *map(type, output_counts)}
-    if not all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds):
-        raise TypeError("the counts of a block must be integers")
-    sizes, total = np.empty(2 * count, dtype=np.int64), len(addresses)
-    try:
-        sizes[0::2], sizes[1::2] = input_counts, output_counts
-        # with every count within 0..total, the sum cannot wrap around
-        fits = sizes.min(initial=0) >= 0 and sizes.max(initial=0) <= total and sizes.sum() == total
-    except OverflowError:  # a count beyond int64
-        fits = False
-    if not fits:
-        raise ValueError("the counts of a block must add up to its addresses")
-    return sizes
+@dataclass(slots=True)
+class Block:
+    """One block held column-wise, as both parsers return it and as the net
+    records it: the height, the tx ids, every address in document order
+    (each transaction's inputs, then its outputs) and, per transaction, the
+    counts of its inputs and outputs.  `Block.of` builds one from
+    (tx_id, inputs, outputs) triples and `transactions` yields them back."""
 
+    height: int
+    tx_ids: list[str]
+    addresses: list[str]
+    input_counts: list[int]
+    output_counts: list[int]
 
-def _block_transactions(tx_ids, addresses, input_counts, output_counts):
-    """An iterator of (tx_id, inputs, outputs) per transaction of a block given
-    column-wise, each side a fresh slice of `addresses` made only when it is
-    reached.  Counts that do not fit the block raise as in `_block_sizes`,
-    before the first transaction."""
-    cut = addresses.__getitem__
-    bounds = _offsets(_block_sizes(tx_ids, addresses, input_counts, output_counts)).tolist()
-    inputs = map(cut, map(slice, bounds[0::2], bounds[1::2]))
-    outputs = map(cut, map(slice, bounds[1::2], bounds[2::2]))
-    return zip(tx_ids, inputs, outputs)
+    @classmethod
+    def of(cls, height: int, transactions) -> "Block":
+        block = cls(height, [], [], [], [])
+        for tx in transactions:
+            block.append(*tx)
+        return block
+
+    def append(self, tx_id: str, inputs: list[str], outputs: list[str]):
+        """Add one transaction after the others; nothing is checked."""
+        self.tx_ids.append(tx_id)
+        self.addresses += inputs
+        self.addresses += outputs
+        self.input_counts.append(len(inputs))
+        self.output_counts.append(len(outputs))
+
+    def transactions(self):
+        """An iterator of (tx_id, inputs, outputs) per transaction, each side a
+        fresh slice of `addresses` made only when it is reached.  Counts that
+        do not fit the block raise as in `_sizes`, before the first transaction."""
+        cut = self.addresses.__getitem__
+        bounds = _offsets(self._sizes()).tolist()
+        inputs = map(cut, map(slice, bounds[0::2], bounds[1::2]))
+        outputs = map(cut, map(slice, bounds[1::2], bounds[2::2]))
+        return zip(self.tx_ids, inputs, outputs)
+
+    def _sizes(self) -> np.ndarray:
+        """Each transaction's input count, then its output count, in turn.
+        Raises TypeError on a count that is not an integer (a bool is not),
+        and ValueError unless there is one input and one output count per tx
+        id, none negative, and they add up to the addresses."""
+        ins, outs, total = self.input_counts, self.output_counts, len(self.addresses)
+        if not len(ins) == len(outs) == len(self.tx_ids):
+            raise ValueError("a block needs one input and one output count per transaction")
+        kinds = {*map(type, ins), *map(type, outs)}
+        if not all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds):
+            raise TypeError("the counts of a block must be integers")
+        sizes = np.empty(2 * len(ins), dtype=np.int64)
+        try:
+            sizes[0::2], sizes[1::2] = ins, outs
+            # with every count within 0..total, the sum cannot wrap around
+            fits = 0 <= sizes.min(initial=0) and sizes.max(initial=0) <= total == sizes.sum()
+        except OverflowError:  # a count beyond int64
+            fits = False
+        if not fits:
+            raise ValueError("the counts of a block must add up to its addresses")
+        return sizes
 
 
 def _check_index(index: int, size: int, what: str):
@@ -454,29 +482,19 @@ class PlaceTransitionNet:
         if not (are_names(inputs) and are_names(outputs)):
             raise ValueError(f"address must be {NAME_RULE}")
 
-    def record_block(self, tx_ids, addresses, input_counts, output_counts):
-        """Record a block of transactions given column-wise.
+    def record_block(self, block: Block):
+        """Record a `Block` whole.
 
-        `tx_ids` and `addresses` are lists or tuples; `addresses` holds each
-        transaction's inputs, then its outputs, in turn, and transaction i
-        has `input_counts[i]` inputs and `output_counts[i]` outputs.  The
-        net comes out as `record_transaction` on each transaction in turn
-        leaves it, and a refused block raises what that loop would raise
-        first, but leaves the net unchanged.
+        Its `tx_ids` and `addresses` are lists or tuples.  The net comes out
+        as `record_transaction` on each transaction in turn leaves it, and a
+        refused block raises what that loop would raise first, but leaves the
+        net unchanged.
         """
         if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
-        if not (isinstance(tx_ids, (list, tuple)) and isinstance(addresses, (list, tuple))):
-            raise TypeError("tx_ids and addresses must each be a list or a tuple")
-        count, sizes = len(tx_ids), _block_sizes(tx_ids, addresses, input_counts, output_counts)
+        sizes = self._check_block(block)
+        tx_ids, addresses, count = block.tx_ids, block.addresses, len(block.tx_ids)
         places, txs = self._places, self._txs
-        if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
-                and len(set(tx_ids)) == count and txs.index.keys().isdisjoint(tx_ids)):
-            earlier = set()
-            for tx_id, inputs, outputs in _block_transactions(tx_ids, addresses, input_counts,
-                                                              output_counts):
-                self._check_transaction(tx_id, inputs, outputs, earlier)
-                earlier.add(tx_id)
 
         # Intern in one pass: an address first seen at position k gets the
         # provisional id known + k, so ranking the new ids numbers them on from
@@ -502,6 +520,22 @@ class PlaceTransitionNet:
             rows.frombytes(row.tobytes())
         txs.index.update(zip(tx_ids, range(len(txs.names), len(txs.names) + count)))
         txs.names += tx_ids
+
+    def _check_block(self, block: Block) -> np.ndarray:
+        """Raise the error a `record_transaction` loop over the block would
+        raise first, if any; otherwise return the block's `_sizes`.  A valid
+        block costs one test of its columns as a whole."""
+        tx_ids, addresses = block.tx_ids, block.addresses
+        if not (isinstance(tx_ids, (list, tuple)) and isinstance(addresses, (list, tuple))):
+            raise TypeError("tx_ids and addresses must each be a list or a tuple")
+        sizes = block._sizes()
+        if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
+                and len(set(tx_ids)) == len(tx_ids) and self._txs.index.keys().isdisjoint(tx_ids)):
+            earlier = set()
+            for tx_id, inputs, outputs in block.transactions():
+                self._check_transaction(tx_id, inputs, outputs, earlier)
+                earlier.add(tx_id)
+        return sizes
 
     def _append_column(self, side: str, addrs):
         rows, offsets = self._arcs[side]

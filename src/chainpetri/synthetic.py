@@ -21,7 +21,7 @@ import random
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import GeneratorConfigError
-from .ingest import Block
+from .net import Block
 
 
 def _is_int(value) -> bool:

@@ -301,12 +301,14 @@ def test_build_strict_mode_flag(tmp_path):
     assert report["rejected_tx_ids"] == ["bad"]
 
 
-def _layout_ledger():
-    """Seven synthetic blocks plus one unfunded spend, which strict mode rejects."""
+def _layout_ledger(unfunded=True):
+    """Seven synthetic blocks plus, unless told not to, one unfunded spend,
+    which strict mode rejects."""
     config = GeneratorConfig(entity_sizes=[2, 3], chain_lengths=[3, 2], repeat_group_sizes=[2],
                              fillers=12, block_size=6)
     blocks, _ = generate_synthetic(config, seed=3)
-    blocks[2].append("unfunded", ["nowhere"], ["somewhere"])
+    if unfunded:
+        blocks[2].append("unfunded", ["nowhere"], ["somewhere"])
     assert len(blocks) == 7
     return blocks
 
@@ -359,6 +361,17 @@ def test_build_layouts_give_identical_outputs(tmp_path, fmt, mode):
                          hashlib.sha256((tmp_path / f"{name}.snap.report.json").read_bytes())
                          .hexdigest())
     assert len(set(outputs.values())) == 1, outputs
+    if mode == "strict":
+        # strict records transaction by transaction, lax block by block: without
+        # the spend strict rejects, a lax build must give the same snapshot
+        funded = tmp_path / "funded"
+        funded.mkdir()
+        for block in _layout_ledger(unfunded=False):
+            (funded / f"block_{block.height}.json").write_text(_layout_text(block, fmt))
+        out = tmp_path / "funded.snap"
+        assert main(["--no-timestamp", "build", str(funded), "--format", fmt,
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == outputs["ascending"][0]
     report = json.loads((tmp_path / "misnamed.snap.report.json").read_text())
     transactions = sum(len(block.tx_ids) for block in blocks)
     assert report["blocks"] == 7
@@ -379,9 +392,9 @@ def _logged_build(monkeypatch, argv):
         events.append(("read", os.path.basename(path)))
         return read_text(path)
 
-    def logged_record(net, tx_ids, *columns):
-        events.append(("record", len(tx_ids)))
-        return record_block(net, tx_ids, *columns)
+    def logged_record(net, block):
+        events.append(("record", len(block.tx_ids)))
+        return record_block(net, block)
 
     monkeypatch.setattr(cli, "_read_text", logged_read)
     monkeypatch.setattr(PlaceTransitionNet, "record_block", logged_record)

@@ -39,6 +39,14 @@ block_values = st.builds(
 )
 
 
+def test_block_is_defined_once_in_the_net_module():
+    from chainpetri.ingest import Block as ingest_block
+    from chainpetri.net import Block as net_block
+
+    assert Block is ingest_block is net_block
+    assert Block.__module__ == "chainpetri.net"
+
+
 # -- parse_block ---------------------------------------------------------------
 
 

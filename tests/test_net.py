@@ -756,11 +756,6 @@ def test_record_transaction_takes_a_list_or_tuple_per_side(in_kind, inputs, out_
     _assert_nets_equal(net, load_snapshot(io.BytesIO(v2_bytes(net))))
 
 
-def _columns(txs):
-    block = Block.of(0, txs)
-    return block.tx_ids, block.addresses, block.input_counts, block.output_counts
-
-
 def _first_error(net_txs, block_txs):
     """What a record_transaction loop over `block_txs` raises first, on a net
     that holds `net_txs`."""
@@ -789,7 +784,7 @@ def test_record_block_matches_record_transaction_loop(seed):
     while start < len(txs):
         block = txs[start:start + rng.randint(0, 15)]
         start += len(block)
-        by_block.record_block(*_columns(block))
+        by_block.record_block(Block.of(0, block))
         for tx in block:
             by_transaction.record_transaction(*tx)
         assert _building_state(by_block) == _building_state(by_transaction)
@@ -807,6 +802,7 @@ def test_record_block_matches_record_transaction_loop(seed):
     [("n", [], ["Z"]), ("", ["A"], ["B"])],                   # empty tx id
     [("n", [], ["Z"]), (None, ["A"], ["B"])],                 # tx id not a string
     [("n", [], ["Z"]), ("m", ["A"], [])],                     # no outputs
+    [("n", [], ["Z"]), ("m", [["x"]], ["B"])],                # unhashable address
     [("m", ["A"], [""]), ("c", [], ["B"])],                   # first fault wins: address
     [("c", [], ["B"]), ("m", ["A"], [""])],                   # first fault wins: duplicate
     [("m", ["A"], []), ("m", [], [""])],                      # first fault wins: no outputs
@@ -817,11 +813,18 @@ def test_refused_block_raises_the_loops_first_error_and_changes_nothing(block):
     before = _building_state(net)
     error, message = _first_error(recorded, block)
     with pytest.raises(error) as raised:
-        net.record_block(*_columns(block))
+        net.record_block(Block.of(0, block))
     assert str(raised.value) == message
     assert _building_state(net) == before
-    net.record_block(*_columns([("n", ["A"], ["Z", "A"])]))
+    net.record_block(Block.of(0, [("n", ["A"], ["Z", "A"])]))
     assert net.place_names == ["A", "B", "C", "Z"]
+    # ingest refuses the block with the same error in both modes, the height before a duplicate
+    if error is DuplicateTransactionError:
+        message = f"block 1: {message}"
+    for mode in ("lax", "strict"):
+        with pytest.raises(error) as raised:
+            ingest([Block.of(0, recorded), Block.of(1, block)], mode=mode)
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 def test_record_block_checks_its_columns():
@@ -839,15 +842,15 @@ def test_record_block_checks_its_columns():
         ((["a", "b"], ["A"], [2**62, 2**62], [2**62, 2**62 + 1]), ValueError),  # sum wraps to 1
     ):
         with pytest.raises(error):
-            net.record_block(*columns)
+            net.record_block(Block(0, *columns))
     assert _building_state(net) == _building_state(PlaceTransitionNet())
-    net.record_block([], [], [], [])
-    net.record_block(["x"], ["A", "B"], np.array([1]), np.array([1], dtype=np.int32))
-    net.record_block(["y"], ["B", "C"], [1], [1])
+    net.record_block(Block(0, [], [], [], []))
+    net.record_block(Block(0, ["x"], ["A", "B"], np.array([1]), np.array([1], dtype=np.int32)))
+    net.record_block(Block(0, ["y"], ["B", "C"], [1], [1]))
     assert net.place_names == ["A", "B", "C"]
     net.seal()
     with pytest.raises(NetSealedError):
-        net.record_block(["x"], ["A"], [0], [1])
+        net.record_block(Block(0, ["x"], ["A"], [0], [1]))
 
 
 @pytest.mark.parametrize("heights", [(0, 0), (0, 1)], ids=["within-block", "across-blocks"])

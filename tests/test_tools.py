@@ -14,12 +14,27 @@ from helpers import synth_sha256
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
 
+# each analysis the tool runs, with the directory it writes and the files there
+ANALYSES = {
+    "entities": ("entities", ["entities.json"]),
+    "chains": ("chains", ["chains.json", "chains_totals.json"]),
+    "stats --level address": ("stats_level_address",
+                              ["ccdf_both.csv", "ccdf_post.csv", "ccdf_pre.csv", "summary.json"]),
+    "stats --level entity": ("stats_level_entity",
+                             ["ccdf_both.csv", "ccdf_post.csv", "ccdf_pre.csv", "summary.json"]),
+    "repeats --level address": ("repeats_level_address", ["stdout.json"]),
+    "repeats --level entity": ("repeats_level_entity", ["stdout.json"]),
+    "top --k 10": ("top_k_10", ["stdout.json"]),
+}
+
+
 def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
     done = subprocess.run([sys.executable, str(TOOLS / "c8_build.py"), str(tmp_path),
                            "--scale", "0.0005", "--runs", "2", "--mode", "strict"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    synth, *runs = [json.loads(line) for line in done.stdout.splitlines()]
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    (synth, *runs), analyses = lines[:3], lines[3:]
     assert synth["command"] == "synth" and synth["wall_s"] > 0 and synth["peak_rss_mb"] > 0
     assert synth["sha256"] == synth_sha256(tmp_path / "blocks")
     assert [run["run"] for run in runs] == [0, 1]
@@ -29,6 +44,17 @@ def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
     assert {run["snapshot_sha256"] for run in runs} == {
         hashlib.sha256(snapshot.read_bytes()).hexdigest()}
     assert len({run["report_sha256"] for run in runs}) == 1
+    assert [analysis["command"] for analysis in analyses] == list(ANALYSES)
+    for analysis in analyses:
+        assert analysis["wall_s"] > 0 and analysis["peak_rss_mb"] > 0
+        directory, files = ANALYSES[analysis["command"]]
+        assert sorted(path.name for path in (tmp_path / directory).iterdir()) == files
+        digest = hashlib.sha256()
+        for name in files:
+            digest.update((tmp_path / directory / name).read_bytes())
+        assert analysis["sha256"] == digest.hexdigest()
+    top = json.loads((tmp_path / "top_k_10" / "stdout.json").read_text())
+    assert len(top) == 10
     config = json.loads((tmp_path / "config.json").read_text())
     assert config["block_size"] == 5000 and config["fillers"] == 188
     blocks, _ = generate_synthetic(GeneratorConfig(**config), seed=8)

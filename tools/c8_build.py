@@ -1,19 +1,24 @@
-"""Time `chainpetri build` on the acceptance criterion-8 ledger.
+"""Time the `chainpetri` workflow on the acceptance criterion-8 ledger.
 
 usage: python3 tools/c8_build.py WORKDIR [--runs N] [--mode lax|strict] [--scale S]
 
 Writes the criterion-8 generator config (seed 8, 1,005,000 transactions and
 about 1,209,000 addresses at scale 1) to WORKDIR, runs `chainpetri synth`
-once into WORKDIR/blocks, then runs `chainpetri build` on those blocks N
-times, each command in its own child process.  It prints one JSON line for
-the synth run, then one for each build: the wall seconds and the child's
-peak RSS from `os.wait4`, then for synth the sha256 over its block files in
-height order and `ground_truth.json`, and for a build the sha256 of the
-snapshot and of its report.  Every command runs with `--no-timestamp`.  The
-children import chainpetri from the `src/` directory beside this script;
-this process imports neither chainpetri nor numpy, so its own size does not
-reach the children's peaks.  `--scale` multiplies the counts of planted
-structures and fillers, for quick runs.
+once into WORKDIR/blocks, runs `chainpetri build` on those blocks N times,
+then runs each command of `ANALYSES` once on the snapshot, each command in
+its own child process.  It prints one JSON line for the synth run, then one
+for each build, then one for each analysis: the wall seconds and the
+child's peak RSS from `os.wait4`, then for synth the sha256 over its block
+files in height order and `ground_truth.json`, for a build the sha256 of
+the snapshot and of its report, and for an analysis the sha256 over the
+files of its output directory in name order.  An analysis writes to a
+directory of WORKDIR named by its words without dashes (`stats --level
+entity` to WORKDIR/stats_level_entity); `repeats` and `top`, which print
+their result, write it to `stdout.json` there.  Every command runs with
+`--no-timestamp`.  The children import chainpetri from the `src/` directory
+beside this script; this process imports neither chainpetri nor numpy, so
+its own size does not reach the children's peaks.  `--scale` multiplies
+the counts of planted structures and fillers, for quick runs.
 """
 
 from __future__ import annotations
@@ -39,6 +44,19 @@ C8_CONFIG = {
 }
 SEED = 8
 
+# the analysis half of the workflow, each command run once on the last snapshot
+ANALYSES = (
+    ("entities",),
+    ("chains",),
+    ("stats", "--level", "address"),
+    ("stats", "--level", "entity"),
+    ("repeats", "--level", "address"),
+    ("repeats", "--level", "entity"),
+    ("top", "--k", "10"),
+)
+# the commands that print their result instead of writing it under --out
+PRINTING = ("repeats", "top")
+
 
 def scaled_config(scale: float) -> dict:
     config = dict(C8_CONFIG)
@@ -49,14 +67,14 @@ def scaled_config(scale: float) -> dict:
     return config
 
 
-def chainpetri(*args: str):
-    """Run one chainpetri command in a child; returns its wall seconds and
-    peak RSS in MB, and fails on a non-zero exit."""
+def chainpetri(*args: str, stdout=None):
+    """Run one chainpetri command in a child, its stdout to `stdout` if given;
+    returns its wall seconds and peak RSS in MB, and fails on a non-zero exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
     started = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-m", "chainpetri.cli", "--no-timestamp", *args],
-                             env=env)
+                             env=env, stdout=stdout)
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - started
     # reaped here, so tell the Popen object it is done
@@ -84,6 +102,16 @@ def synth_files(directory: str) -> list[str]:
         os.path.join(directory, "ground_truth.json")]
 
 
+def analyse(snapshot: str, command: tuple[str, ...], out: str):
+    """Run one analysis command on the snapshot, its output in directory `out`;
+    returns its wall seconds and peak RSS in MB."""
+    if command[0] not in PRINTING:
+        return chainpetri(*command, snapshot, "--out", out)
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "stdout.json"), "wb") as fh:
+        return chainpetri(*command, snapshot, stdout=fh)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workdir")
@@ -108,6 +136,13 @@ def main(argv=None) -> int:
                           "peak_rss_mb": round(peak, 1),
                           "snapshot_sha256": sha256(snapshot),
                           "report_sha256": sha256(f"{snapshot}.report.json")}), flush=True)
+
+    for command in ANALYSES:
+        out = os.path.join(args.workdir, "_".join(word.lstrip("-") for word in command))
+        wall, peak = analyse(snapshot, command, out)
+        files = [os.path.join(out, name) for name in sorted(os.listdir(out))]
+        print(json.dumps({"command": " ".join(command), "wall_s": round(wall, 3),
+                          "peak_rss_mb": round(peak, 1), "sha256": sha256(*files)}), flush=True)
     return 0
 
 
