@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chains import disposable_addresses
-from .net import PlaceTransitionNet, _label_groups, _offsets, _split
+from .net import PlaceTransitionNet, _distinct, _label_groups, _offsets, _split
 
 SIDES = ("pre", "post", "both")
 
@@ -81,11 +81,10 @@ def ccdf(degrees) -> CcdfSeries:
         raise ValueError("ccdf of an empty multiset is undefined")
     if values.dtype.kind not in "iu" or values.min() < 0:
         raise ValueError("degree values must be nonnegative integers")
-    values = values.astype(np.int64, copy=False)
-    xs = np.unique(values)
+    ordered = np.sort(values.astype(np.int64, copy=False))
+    xs = _distinct(ordered)
     if xs[0] != 0:
         xs = np.concatenate([[0], xs])
-    ordered = np.sort(values)
     n = values.size
     greater = n - np.searchsorted(ordered, xs, side="right")
     return CcdfSeries([(int(x), int(g) / n) for x, g in zip(xs, greater)])

@@ -94,19 +94,24 @@ def parse_block(json_text: str) -> Block:
     if not isinstance(txs_doc, list):
         raise BlockValidationError("missing or invalid field 'transactions'")
 
-    block = Block(height, [], [], [], [])
+    tx_ids, addresses, input_counts, output_counts = [], [], [], []
     for tx in txs_doc:
         if not isinstance(tx, dict):
             raise BlockValidationError("transaction entry must be an object")
         tx_id = tx.get("tx_id")
         if "inputs" not in tx or "outputs" not in tx:
             raise BlockValidationError("missing 'inputs' or 'outputs'", tx_id)
-        inputs = _require_list(tx["inputs"], "inputs", tx_id)
-        outputs = _require_list(tx["outputs"], "outputs", tx_id)
-        if not outputs:
+        inputs, outputs = tx["inputs"], tx["outputs"]
+        if not (isinstance(inputs, list) and isinstance(outputs, list) and outputs):
+            _require_list(inputs, "inputs", tx_id)
+            _require_list(outputs, "outputs", tx_id)
             raise BlockValidationError("outputs must be non-empty", tx_id)
-        block.append(tx_id, inputs, outputs)
-    return _require_names(block)
+        tx_ids.append(tx_id)
+        addresses += inputs
+        addresses += outputs
+        input_counts.append(len(inputs))
+        output_counts.append(len(outputs))
+    return _require_names(Block(height, tx_ids, addresses, input_counts, output_counts))
 
 
 def encode_block(block: Block) -> str:
@@ -185,11 +190,11 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
     transaction with `record_transaction` and rejects (records in the
     report, not fatal) one whose input addresses include one with a running
     count of receives minus spends <= 0 at that moment.  It keeps those
-    counts itself, so a rejected transaction interns nothing.  Both modes
-    first refuse a malformed block with the error `record_block` raises:
-    the first a `record_transaction` loop over the whole block would meet.
-    A duplicate tx id raises `DuplicateTransactionError` naming the block's
-    height.
+    counts itself, so a rejected transaction interns nothing, but its tx id
+    counts as recorded.  Both modes first refuse a malformed block with the
+    error `record_block` raises: the first a `record_transaction` loop over
+    the whole block would meet.  A duplicate tx id raises
+    `DuplicateTransactionError` naming the block's height.
     """
     if mode not in (LAX, STRICT):
         raise ValueError(f"mode must be '{LAX}' or '{STRICT}', got {mode!r}")
@@ -197,8 +202,8 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
     report = IngestReport()
     last_height = None
     strict = mode == STRICT
-    # strict mode's receives minus spends per address; one never paid has no entry
-    unspent: dict[str, int] = {}
+    # strict mode's receives minus spends per address (none if never paid), and its rejects
+    unspent, rejected = {}, set()
 
     for block in blocks:
         if last_height is not None and block.height <= last_height:
@@ -212,7 +217,7 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
             if not strict:
                 net.record_block(block)
                 continue
-            net._check_block(block)
+            net._check_block(block, rejected)
             for tx_id, inputs, outputs in block.transactions():
                 spent = set(inputs)
                 # counts never fall below 0, so this fails only on an input
@@ -220,6 +225,7 @@ def ingest(blocks, mode: str = LAX) -> tuple[PlaceTransitionNet, IngestReport]:
                 if not all(map(unspent.get, spent)):
                     report.rejects += 1
                     report.rejected_tx_ids.append(tx_id)
+                    rejected.add(tx_id)
                     continue
                 net.record_transaction(tx_id, inputs, outputs)
                 for addr in spent:

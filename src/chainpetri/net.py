@@ -257,6 +257,13 @@ class Block:
         return sizes
 
 
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """Distinct values of an ascending array by a neighbour mask (`np.unique` hashes: slower)."""
+    keep = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def _check_index(index: int, size: int, what: str):
     if not 0 <= index < size:
         raise IndexError(f"{what} {index} out of range (0..{size - 1})")
@@ -268,13 +275,11 @@ def _check_side(side: str):
 
 
 class _Registry:
-    """Names in id order plus the name -> id dict, which only a net under
-    construction keeps; a sealed net builds it on the first lookup.
+    """Names in id order plus the name -> id dict, built on the first lookup.
     Subclasses hold the names in other forms and decode on demand."""
 
-    def __init__(self, names: list[str], index: dict[str, int] | None = None):
-        self.names = names
-        self.index = index
+    def __init__(self, names: list[str]):
+        self.names, self.index = names, None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -302,6 +307,25 @@ class _Registry:
         blob = "".join(names).encode()
         lengths = np.fromiter(map(len, map(str.encode, names)), dtype=np.int64, count=len(names))
         return np.frombuffer(blob, dtype=np.uint8), _offsets(lengths)
+
+
+class _BuildRegistry(_Registry):
+    """A building net's registry: the name -> value dict `index`, in id order.
+    Its names and a name -> id dict grow from the newest keys when asked for."""
+
+    def __init__(self):
+        self.index, self._names, self._ids = {}, [], {}
+
+    @property
+    def names(self) -> list[str]:
+        added = list(itertools.islice(reversed(self.index), len(self.index) - len(self._names)))
+        self._ids.update(zip(added, itertools.count(len(self.index) - 1, -1)))
+        self._names += reversed(added)
+        return self._names
+
+    def ids(self) -> dict[str, int]:
+        self.names  # grows `_ids` too
+        return self._ids
 
 
 class _BlobRegistry(_Registry):
@@ -357,10 +381,11 @@ class PlaceTransitionNet:
 
     def __init__(self):
         self._level = ADDRESS_LEVEL
-        self._places = _Registry([], {})
-        self._txs = _Registry([], {})
-        # Build state, dropped by seal(): per side, the row id of every arc in
-        # column order plus the column offsets into it.
+        # Build state, dropped by seal(): a tx id maps to its id, an address to its
+        # stamp (what `_stamps` gave its first occurrence); per side, the stamp of
+        # every arc in column order plus the column offsets into it.
+        self._places, self._txs = _BuildRegistry(), _BuildRegistry()
+        self._stamps = itertools.count()
         self._arcs: dict[str, tuple[array, array]] | None = {
             side: (array("q"), array("q", [0])) for side in SIDES
         }
@@ -437,35 +462,28 @@ class PlaceTransitionNet:
             raise NetSealedError("cannot intern addresses on a sealed net")
         if not are_names([addr]):
             raise ValueError(f"address must be {NAME_RULE}")
-        return self._intern(addr)
-
-    def _intern(self, addr: str) -> int:
-        places = self._places
-        new = len(places.names)
-        idx = places.index.setdefault(addr, new)
-        if idx == new:
-            places.names.append(addr)
-        return idx
+        self._places.index.setdefault(addr, next(self._stamps))
+        return self.place_of(addr)
 
     def record_transaction(self, tx_id: str, inputs, outputs) -> int:
         """Record one transaction: pre-arcs from inputs, post-arcs to outputs.
 
-        `inputs` and `outputs` are each a list or tuple of addresses.
-        Duplicate addresses within one side collapse to a single arc of
-        weight 1.  Empty `inputs` marks a coinbase; `outputs` must be
-        non-empty.  Everything is checked before anything changes, so a
-        refused transaction leaves the net as it was.  Returns the new
-        transition id.
+        `inputs` and `outputs` are each a list or tuple of addresses, and each
+        is interned in one pass that draws a stamp per address.  Duplicate
+        addresses within one side collapse to a single arc of weight 1.  Empty
+        `inputs` marks a coinbase; `outputs` must be non-empty.  Everything is
+        checked before anything changes, so a refused transaction leaves the
+        net as it was.  Returns the new transition id.
         """
         if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
         self._check_transaction(tx_id, inputs, outputs)
-        txs = self._txs
-        t = len(txs.names)
-        txs.index[tx_id] = t
-        txs.names.append(tx_id)
-        self._append_column("pre", inputs)
-        self._append_column("post", outputs)
+        t = self._txs.index[tx_id] = len(self._txs.index)
+        intern = self._places.index.setdefault
+        for side, addresses in (("pre", inputs), ("post", outputs)):
+            rows, offsets = self._arcs[side]
+            rows.extend(sorted(set(map(intern, addresses, self._stamps))))
+            offsets.append(len(rows))
         return t
 
     def _check_transaction(self, tx_id, inputs, outputs, earlier=()):
@@ -483,74 +501,71 @@ class PlaceTransitionNet:
             raise ValueError(f"address must be {NAME_RULE}")
 
     def record_block(self, block: Block):
-        """Record a `Block` whole.
+        """Record a `Block` whole, interning it in one pass.
 
-        Its `tx_ids` and `addresses` are lists or tuples.  The net comes out
-        as `record_transaction` on each transaction in turn leaves it, and a
-        refused block raises what that loop would raise first, but leaves the
-        net unchanged.
+        Its `tx_ids` and `addresses` are lists or tuples.  The net, its stamps
+        included, comes out as `record_transaction` on each transaction in turn
+        leaves it, and a refused block raises what that loop would raise first,
+        but leaves the net unchanged.
         """
         if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
         sizes = self._check_block(block)
         tx_ids, addresses, count = block.tx_ids, block.addresses, len(block.tx_ids)
-        places, txs = self._places, self._txs
-
-        # Intern in one pass: an address first seen at position k gets the
-        # provisional id known + k, so ranking the new ids numbers them on from
-        # `known` in the order first seen, as a record_transaction loop would.
-        known = len(places.names)
-        ids = np.fromiter(map(places.index.setdefault, addresses, itertools.count(known)),
-                          dtype=np.int64, count=len(addresses))
-        new = ids >= known
-        first, rank = np.unique(ids[new], return_inverse=True)
-        ids[new] = known + rank
-        added = list(map(addresses.__getitem__, (first - known).tolist()))
-        places.index.update(zip(added, range(known, known + len(added))))
-        places.names += added
+        stamps = np.fromiter(map(self._places.index.setdefault, addresses, self._stamps),
+                             dtype=np.int64, count=len(addresses))
 
         # one arc per distinct (column, place) of each side, in column order
-        width = max(len(places.names), 1)
+        width = int(stamps.max(initial=0)) + 1
         cols = np.repeat(np.repeat(np.arange(count), 2), sizes)
         is_post = np.repeat(np.tile([False, True], count), sizes)
         for side, on in (("pre", ~is_post), ("post", is_post)):
-            col, row = np.divmod(np.unique(cols[on] * width + ids[on]), width)
+            col, row = np.divmod(_distinct(np.sort(cols[on] * width + stamps[on])), width)
             rows, offsets = self._arcs[side]
             offsets.frombytes((len(rows) + np.cumsum(np.bincount(col, minlength=count))).tobytes())
             rows.frombytes(row.tobytes())
-        txs.index.update(zip(tx_ids, range(len(txs.names), len(txs.names) + count)))
-        txs.names += tx_ids
+        self._txs.index.update(zip(tx_ids, itertools.count(len(self._txs.index))))
 
-    def _check_block(self, block: Block) -> np.ndarray:
-        """Raise the error a `record_transaction` loop over the block would
-        raise first, if any; otherwise return the block's `_sizes`.  A valid
-        block costs one test of its columns as a whole."""
+    def _check_block(self, block: Block, rejected=frozenset()) -> np.ndarray:
+        """Raise the error a `record_transaction` loop over the block would raise
+        first, if any, counting a tx id in the set `rejected` as recorded; else
+        return the block's `_sizes`.  A valid block costs one whole-column test."""
         tx_ids, addresses = block.tx_ids, block.addresses
         if not (isinstance(tx_ids, (list, tuple)) and isinstance(addresses, (list, tuple))):
             raise TypeError("tx_ids and addresses must each be a list or a tuple")
         sizes = block._sizes()
         if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
-                and len(set(tx_ids)) == len(tx_ids) and self._txs.index.keys().isdisjoint(tx_ids)):
-            earlier = set()
+                and len(set(tx_ids)) == len(tx_ids) and self._txs.index.keys().isdisjoint(tx_ids)
+                and rejected.isdisjoint(tx_ids)):
+            earlier = set(rejected)
             for tx_id, inputs, outputs in block.transactions():
                 self._check_transaction(tx_id, inputs, outputs, earlier)
                 earlier.add(tx_id)
         return sizes
 
-    def _append_column(self, side: str, addrs):
-        rows, offsets = self._arcs[side]
-        rows.extend(sorted({self._intern(a) for a in addrs}))
-        offsets.append(len(rows))
-
     def seal(self) -> "PlaceTransitionNet":
-        """Freeze the net and drop its name dicts; analytics need a sealed net.  Idempotent."""
+        """Freeze the net; analytics need a sealed net.  Idempotent.  Each registry keeps
+        only its dict's names, and each arc's stamp becomes its place id: stamps rise in
+        id order, so a place's id is the count of place stamps below its own."""
         if self._arcs is not None:
-            self._places.index = self._txs.index = None
+            stamps = np.fromiter(self._places.index.values(), np.int64, len(self._places.index))
+            # the dicts go before the rank array comes, so no moment holds both
+            self._places, self._txs = (_Registry(list(r.index)) for r in (self._places, self._txs))
+            rank = np.zeros(int(stamps.max(initial=-1)) + 1, dtype=np.int64)
+            rank[stamps] = 1
+            del stamps
+            np.cumsum(rank, out=rank)
+            rank -= 1
+            for rows, _ in self._arcs.values():
+                arcs = np.frombuffer(rows, dtype=np.int64)
+                # in place: "clip" never applies to a stamp and, unlike "raise", needs no buffer
+                np.take(rank, arcs, out=arcs, mode="clip")
+            del rank
             shape = (self.num_places, self.num_transitions)
             # each matrix keeps its side's build arrays as indptr and indices, uncopied
             for side, (rows, offsets) in self._arcs.items():
                 self._incidence[side] = SparseIncidence(offsets, rows, _ones(len(rows)), shape)
-            self._arcs = None
+            self._arcs = self._stamps = None
         return self
 
     # -- queries -----------------------------------------------------------

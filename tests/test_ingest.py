@@ -14,6 +14,7 @@ from chainpetri import (
     BlockOrderingError,
     BlockParseError,
     BlockValidationError,
+    DuplicateTransactionError,
     MalformedTransactionError,
     PlaceTransitionNet,
     convert_rawblock,
@@ -349,6 +350,26 @@ def test_strict_rejects_double_spend():
     ]
     _, report = ingest(blocks, mode="strict")
     assert report.rejected_tx_ids == ["s2"]
+
+
+@pytest.mark.parametrize("mode", ["lax", "strict"])
+@pytest.mark.parametrize("later, error, message", [
+    ([("t", ["A"], ["C"])], DuplicateTransactionError, "transaction 't' already recorded"),
+    ([("t", ["A"], ["C"]), ("u", ["A"], [])], DuplicateTransactionError,
+     "transaction 't' already recorded"),
+    ([("u", ["A"], []), ("t", ["A"], ["C"])], MalformedTransactionError,
+     "transaction 'u' has no outputs"),
+], ids=["alone", "duplicate-first", "no-outputs-first"])
+@pytest.mark.parametrize("split", [True, False], ids=["two-blocks", "one-block"])
+def test_a_rejected_tx_id_counts_as_recorded(mode, later, error, message, split):
+    # strict rejects "t" (its input Z was never paid), yet a later "t" is a duplicate
+    first = [("c", [], ["A"]), ("t", ["Z"], ["B"])]
+    blocks = [Block.of(0, first), Block.of(1, later)] if split else [Block.of(1, first + later)]
+    if error is DuplicateTransactionError:
+        message = f"block 1: {message}"
+    with pytest.raises(error) as raised:
+        ingest(blocks, mode=mode)
+    assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 @pytest.mark.parametrize("seed", range(8))

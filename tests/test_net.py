@@ -793,6 +793,67 @@ def test_record_block_matches_record_transaction_loop(seed):
     assert v2_bytes(by_block.seal()) == v2_bytes(by_transaction.seal())
 
 
+# calls that a net refuses whatever it holds, each with its error
+refused_calls = st.sampled_from([
+    (lambda net: net.record_transaction("y", ["p1"], ["p2", ""]), ValueError),
+    (lambda net: net.record_transaction("y", ["p3"], []), MalformedTransactionError),
+    (lambda net: net.record_block(Block.of(0, [("y", ["p4"], ["p5"]), ("y", [], ["p6"])])),
+     DuplicateTransactionError),
+    (lambda net: net.record_block(Block.of(0, [("y", ["p7"], ["p8"]), ("z", [], [7])])),
+     ValueError),
+    (lambda net: net.intern_address(""), ValueError),
+])
+one_transaction = st.tuples(st.lists(pool, max_size=3), st.lists(pool, min_size=1, max_size=4))
+recording_steps = st.lists(st.one_of(
+    st.tuples(st.just("transaction"), one_transaction),
+    st.tuples(st.just("block"), st.lists(one_transaction, max_size=4)),
+    st.tuples(st.just("intern"), pool),
+    st.tuples(st.just("refused"), refused_calls),
+), max_size=12)
+
+
+@given(recording_steps)
+def test_recording_is_one_numbering_whatever_the_call_mix(steps):
+    # `mixed` takes each step as drawn; `plain` records every transaction alone
+    # and interns only an address that no transaction has met yet
+    mixed, plain = PlaceTransitionNet(), PlaceTransitionNet()
+    first_seen: dict[str, int] = {}
+    tx_ids: list[str] = []
+    for kind, arg in steps:
+        if kind == "refused":
+            call, error = arg
+            before = _building_state(mixed), repr(mixed._stamps)
+            with pytest.raises(error):
+                call(mixed)
+            assert (_building_state(mixed), repr(mixed._stamps)) == before
+        elif kind == "intern":
+            if arg not in first_seen:
+                plain.intern_address(arg)
+            assert mixed.intern_address(arg) == first_seen.setdefault(arg, len(first_seen))
+        else:
+            sides = [arg] if kind == "transaction" else arg
+            txs = [(f"x{len(tx_ids) + j}", ins, outs) for j, (ins, outs) in enumerate(sides)]
+            if kind == "transaction":
+                mixed.record_transaction(*txs[0])
+            else:
+                mixed.record_block(Block.of(0, txs))
+            for tx_id, inputs, outputs in txs:
+                plain.record_transaction(tx_id, inputs, outputs)
+                tx_ids.append(tx_id)
+                for addr in inputs + outputs:
+                    first_seen.setdefault(addr, len(first_seen))
+        names = list(first_seen)
+        for net in (mixed, plain):
+            assert net.num_places == len(names) and net.place_names == names
+            assert [net.address_of(p) for p in range(len(names))] == names
+            assert [net.place_of(addr) for addr in names] == list(range(len(names)))
+            assert net.lookup_place("zz") is None
+            assert net.transaction_ids == tx_ids and net.num_transitions == len(tx_ids)
+            assert [net.transition_of(tx_id) for tx_id in tx_ids] == list(range(len(tx_ids)))
+    _assert_nets_equal(mixed.seal(), plain.seal())
+    assert v2_bytes(mixed) == v2_bytes(plain)
+
+
 @pytest.mark.parametrize("block", [
     [("n", [], ["A"]), ("n", ["A"], ["B"])],                  # tx id twice in the block
     [("n", [], ["Z"]), ("c", [], ["B"])],                     # tx id already recorded

@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from chainpetri import GeneratorConfig, generate_synthetic, load_snapshot
 from helpers import synth_sha256
 
@@ -59,3 +61,37 @@ def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
     assert config["block_size"] == 5000 and config["fillers"] == 188
     blocks, _ = generate_synthetic(GeneratorConfig(**config), seed=8)
     assert load_snapshot(snapshot).num_transitions == sum(len(b.tx_ids) for b in blocks)
+
+
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(TOOLS.parent), *args], input="", capture_output=True,
+                          text=True)
+
+
+def test_bench_pair_runs_one_pair_against_head():
+    if _git("rev-parse", "HEAD").returncode:
+        pytest.skip("needs a git checkout with a commit")
+    done = subprocess.run([sys.executable, str(TOOLS / "bench_pair.py"), "HEAD",
+                           "--workload", "long_chains", "--pairs", "1", "--seconds", "0"],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    *runs, summary = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [(run["pair"], run["side"]) for run in runs] == [(0, "rev"), (0, "tree")]
+    metrics = {"setup_s", "analyze_s", "library_s", "setup_peak_rss_mb", "analyze_peak_rss_mb",
+               "library_peak_rss_mb", "snapshot_mb"}
+    for run in runs:
+        assert run["correct"] and run["failed"] == 0 and set(run["metrics"]) == metrics
+    assert summary["rev"] == "HEAD" and summary["pairs"] == 1
+    assert set(summary["median_change_pct"]) == set(summary["better_pairs"]) == metrics
+    # both sides read the same inputs, so they write snapshots of one size
+    assert runs[0]["metrics"]["snapshot_mb"] == runs[1]["metrics"]["snapshot_mb"]
+
+
+def test_bench_pair_refuses_a_revision_whose_benchmark_differs():
+    empty_tree = _git("hash-object", "-t", "tree", "--stdin").stdout.strip()
+    if not empty_tree:
+        pytest.skip("needs git")
+    done = subprocess.run([sys.executable, str(TOOLS / "bench_pair.py"), empty_tree],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "refusing to compare" in done.stderr
+    assert done.stdout == ""
