@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import types
 
 import numpy as np
 import pytest
@@ -46,6 +48,16 @@ def test_block_is_defined_once_in_the_net_module():
 
     assert Block is ingest_block is net_block
     assert Block.__module__ == "chainpetri.net"
+
+
+def test_chainpetri_ingest_is_the_function_and_its_module_holds_block():
+    # the package binds the function over its submodule of the same name, so
+    # the module is reached by import, never as an attribute
+    import chainpetri
+
+    assert isinstance(chainpetri.ingest, types.FunctionType) and chainpetri.ingest is ingest
+    assert not hasattr(chainpetri.ingest, "Block")
+    assert importlib.import_module("chainpetri.ingest").Block is chainpetri.Block
 
 
 # -- parse_block ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import random
 
@@ -9,7 +10,7 @@ import chainpetri.net
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chainpetri import (
@@ -138,6 +139,9 @@ def test_rejected_address_leaves_net_unchanged():
         (7, ["A"], ["B"], MalformedTransactionError),
         (["x"], ["A"], ["B"], MalformedTransactionError),
         ("x\ud83d", ["A"], ["B"], MalformedTransactionError),
+        # with two faults, a bad tx id comes first, then a duplicate, then an address
+        ("", ["A"], [""], MalformedTransactionError),
+        ("c", ["A"], [""], DuplicateTransactionError),
         ("x", iter(["A"]), ["B"], TypeError),
         ("x", ["A"], (a for a in ["B"]), TypeError),
         ("x", "AB", ["C"], TypeError),
@@ -658,6 +662,48 @@ def test_loaded_names_compared_by_their_bytes(sample_net, monkeypatch, collide, 
         with pytest.raises(SnapshotError, match="not unique") as err:
             load_snapshot(io.BytesIO(v2_join(magic, records)))
         assert err.value.section == "places"
+
+
+def test_loaded_names_that_differ_only_under_the_last_word():
+    count = chainpetri.net._HASHED_BUCKET
+    # 12-byte addresses that differ only in bytes 8-11, which only the last
+    # word (bytes 4-11) covers, and sha256 hex tx ids, 64 bytes, 8 words each
+    places = [f"pppppppp{i:04d}" for i in range(count)]
+    txs = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(count)]
+    magic, records = v2_split(v2_bytes(build_net([(tx, [], [p]) for tx, p in zip(txs, places)])))
+    loaded = load_snapshot(io.BytesIO(v2_join(magic, records)))
+    assert loaded.place_names == places and loaded.transaction_ids == txs
+    for at, names, section in ((PLACES, places + places[-1:], "places"),
+                               (TXS, txs[:count // 2] + txs[:1] + txs[count // 2:], "transitions")):
+        bad = list(records)
+        v2_set_names(bad, at, names)
+        with pytest.raises(SnapshotError, match="not unique") as err:
+            load_snapshot(io.BytesIO(v2_join(magic, bad)))
+        assert err.value.section == section
+
+
+# 1 to 20 UTF-8 bytes: shorter than a word, one word, and past it
+short_names = st.text(st.sampled_from(["a", "b", "\u00e9", "\u65e5", "\U0001f600"]),
+                      min_size=1, max_size=20).filter(lambda name: len(name.encode()) <= 20)
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["fnv", "every-hash-equal"])
+@settings(max_examples=300)
+@given(names=st.lists(short_names, min_size=1, max_size=40),
+       copies=st.lists(st.tuples(st.integers(0), st.integers(0)), max_size=3))
+@example(names=["abcdefghij", "abcdefghik"], copies=[(1, 2)])
+def test_names_unique_agrees_with_a_set(collide, names, copies):
+    for source, to in copies:
+        names.insert(to % (len(names) + 1), names[source % len(names)])
+    encoded = [name.encode() for name in names]
+    bounds = np.cumsum([0] + [len(name) for name in encoded])
+    with pytest.MonkeyPatch.context() as patch:
+        # every bucket of two or more names is hashed
+        patch.setattr(chainpetri.net, "_HASHED_BUCKET", 2)
+        if collide:
+            patch.setattr(chainpetri.net, "_FNV_PRIME", np.uint64(0))
+        unique = chainpetri.net._names_unique(b"".join(encoded), bounds)
+    assert unique == (len(set(names)) == len(names))
 
 
 def test_snapshot_name_offset_inside_a_character(sample_net):
