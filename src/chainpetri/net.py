@@ -1,8 +1,8 @@
 """Place/transition net over a ledger: registries plus sparse pre/post incidence.
 
 Addresses become places, transactions become transitions.  Construction is
-single-writer (intern/record); `seal()` freezes the net, after which every
-query is read-only and safe to share across threads.  A sealed address net
+single-writer (record); `seal()` freezes the net, after which every query is
+read-only and safe to share across threads.  A sealed address net
 persists as one binary snapshot format (`save_snapshot`/`load_snapshot`).
 """
 
@@ -110,14 +110,6 @@ class SparseIncidence:
     def entry_columns(self) -> np.ndarray:
         """Column id of every entry in compressed-column order."""
         return np.repeat(np.arange(self.num_cols), self.col_nnz_all())
-
-    def tocsr(self) -> Compressed:
-        """The compressed row form, derived from the column form on each call."""
-        csc, cols = self._csc, self.entry_columns()
-        # sorting the unique row-major keys gives the order of a stable sort
-        # by row, and is up to 3x faster than numpy's stable sort
-        order = np.argsort(csc.indices * self.num_cols + cols)
-        return Compressed(_offsets(self._row_nnz), cols[order], csc.data[order])
 
     def tocsc(self) -> Compressed:
         """The stored column form itself; its arrays are read-only."""
@@ -309,23 +301,14 @@ class _Registry:
         return np.frombuffer(blob, dtype=np.uint8), _offsets(lengths)
 
 
-class _BuildRegistry(_Registry):
-    """A building net's registry: the name -> value dict `index`, in id order.
-    Its names and a name -> id dict grow from the newest keys when asked for."""
+class _Building(dict):
+    """A building net's registry: a dict in id order from a tx id to its id or
+    from an address to its stamp.  It answers no name query until `seal()`."""
 
-    def __init__(self):
-        self.index, self._names, self._ids = {}, [], {}
+    def name(self, *_):
+        raise NetNotSealedError("name queries exist only on a sealed net")
 
-    @property
-    def names(self) -> list[str]:
-        added = list(itertools.islice(reversed(self.index), len(self.index) - len(self._names)))
-        self._ids.update(zip(added, itertools.count(len(self.index) - 1, -1)))
-        self._names += reversed(added)
-        return self._names
-
-    def ids(self) -> dict[str, int]:
-        self.names  # grows `_ids` too
-        return self._ids
+    take = all = ids = name
 
 
 class _BlobRegistry(_Registry):
@@ -384,7 +367,7 @@ class PlaceTransitionNet:
         # Build state, dropped by seal(): a tx id maps to its id, an address to its
         # stamp (what `_stamps` gave its first occurrence); per side, the stamp of
         # every arc in column order plus the column offsets into it.
-        self._places, self._txs = _BuildRegistry(), _BuildRegistry()
+        self._places, self._txs = _Building(), _Building()
         self._stamps = itertools.count()
         self._arcs: dict[str, tuple[array, array]] | None = {
             side: (array("q"), array("q", [0])) for side in SIDES
@@ -401,7 +384,7 @@ class PlaceTransitionNet:
         net._arcs = None
         return net
 
-    # -- registry ----------------------------------------------------------
+    # -- registry: on a building net only the counts answer ----------------
 
     @property
     def level(self) -> str:
@@ -456,15 +439,6 @@ class PlaceTransitionNet:
 
     # -- construction ------------------------------------------------------
 
-    def intern_address(self, addr: str) -> int:
-        """Return the place id for `addr`, allocating the next id if new."""
-        if self._arcs is None:
-            raise NetSealedError("cannot intern addresses on a sealed net")
-        if not are_names([addr]):
-            raise ValueError(f"address must be {NAME_RULE}")
-        self._places.index.setdefault(addr, next(self._stamps))
-        return self.place_of(addr)
-
     def record_transaction(self, tx_id: str, inputs, outputs) -> int:
         """Record one transaction: pre-arcs from inputs, post-arcs to outputs.
 
@@ -478,8 +452,8 @@ class PlaceTransitionNet:
         if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
         self._check_transaction(tx_id, inputs, outputs)
-        t = self._txs.index[tx_id] = len(self._txs.index)
-        intern = self._places.index.setdefault
+        t = self._txs[tx_id] = len(self._txs)
+        intern = self._places.setdefault
         for side, addresses in (("pre", inputs), ("post", outputs)):
             rows, offsets = self._arcs[side]
             rows.extend(sorted(set(map(intern, addresses, self._stamps))))
@@ -497,7 +471,7 @@ class PlaceTransitionNet:
         named = are_names([tx_id, *inputs, *outputs])
         if not (named or are_names([tx_id])):
             raise MalformedTransactionError(f"transaction id must be {NAME_RULE}")
-        if tx_id in self._txs.index or tx_id in earlier:
+        if tx_id in self._txs or tx_id in earlier:
             raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
         if not named:
             raise ValueError(f"address must be {NAME_RULE}")
@@ -514,7 +488,7 @@ class PlaceTransitionNet:
             raise NetSealedError("cannot record transactions on a sealed net")
         sizes = self._check_block(block)
         tx_ids, addresses, count = block.tx_ids, block.addresses, len(block.tx_ids)
-        stamps = np.fromiter(map(self._places.index.setdefault, addresses, self._stamps),
+        stamps = np.fromiter(map(self._places.setdefault, addresses, self._stamps),
                              dtype=np.int64, count=len(addresses))
 
         # one arc per distinct (column, place) of each side, in column order
@@ -526,7 +500,7 @@ class PlaceTransitionNet:
             rows, offsets = self._arcs[side]
             offsets.frombytes((len(rows) + np.cumsum(np.bincount(col, minlength=count))).tobytes())
             rows.frombytes(row.tobytes())
-        self._txs.index.update(zip(tx_ids, itertools.count(len(self._txs.index))))
+        self._txs.update(zip(tx_ids, itertools.count(len(self._txs))))
 
     def _check_block(self, block: Block, rejected=frozenset()) -> np.ndarray:
         """Raise the error a `record_transaction` loop over the block would raise
@@ -537,7 +511,7 @@ class PlaceTransitionNet:
             raise TypeError("tx_ids and addresses must each be a list or a tuple")
         sizes = block._sizes()
         if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
-                and len(set(tx_ids)) == len(tx_ids) and self._txs.index.keys().isdisjoint(tx_ids)
+                and len(set(tx_ids)) == len(tx_ids) and self._txs.keys().isdisjoint(tx_ids)
                 and rejected.isdisjoint(tx_ids)):
             earlier = set(rejected)
             for tx_id, inputs, outputs in block.transactions():
@@ -550,9 +524,9 @@ class PlaceTransitionNet:
         only its dict's names, and each arc's stamp becomes its place id: stamps rise in
         id order, so a place's id is the count of place stamps below its own."""
         if self._arcs is not None:
-            stamps = np.fromiter(self._places.index.values(), np.int64, len(self._places.index))
+            stamps = np.fromiter(self._places.values(), np.int64, len(self._places))
             # the dicts go before the rank array comes, so no moment holds both
-            self._places, self._txs = (_Registry(list(r.index)) for r in (self._places, self._txs))
+            self._places, self._txs = (_Registry(list(r)) for r in (self._places, self._txs))
             rank = np.zeros(int(stamps.max(initial=-1)) + 1, dtype=np.int64)
             rank[stamps] = 1
             del stamps

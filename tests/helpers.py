@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from chainpetri import PlaceTransitionNet
+from chainpetri.net import Compressed
 
 
 def build_net(transactions, seal=True) -> PlaceTransitionNet:
@@ -53,6 +54,16 @@ def synth_sha256(directory) -> str:
     for path in [*blocks, directory / "ground_truth.json"]:
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def tocsr(matrix) -> Compressed:
+    """The compressed row form of a `SparseIncidence`, derived from its column form."""
+    csc, cols = matrix.tocsc(), matrix.entry_columns()
+    # the unique row-major keys, widened before the multiply, sort into the
+    # order of a stable sort by row
+    order = np.argsort(csc.indices.astype(np.int64) * matrix.num_cols + cols)
+    indptr = np.concatenate([[0], np.cumsum(matrix.row_nnz_all())])
+    return Compressed(indptr, cols[order], csc.data[order])
 
 
 def mask(size: int, ids) -> np.ndarray:

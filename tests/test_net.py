@@ -41,6 +41,7 @@ from helpers import (
     build_net,
     dense_replay,
     random_transactions,
+    tocsr,
     v2_bytes,
     v2_join,
     v2_set_names,
@@ -56,39 +57,6 @@ tx_batches = st.lists(
 
 def _batch_to_txs(batch):
     return [(f"x{j}", ins, outs) for j, (ins, outs) in enumerate(batch)]
-
-
-# -- interning ---------------------------------------------------------------
-
-
-def test_intern_first_allocation():
-    net = PlaceTransitionNet()
-    assert net.intern_address("A") == 0
-
-
-def test_intern_idempotent():
-    net = PlaceTransitionNet()
-    assert net.intern_address("A") == 0
-    assert net.intern_address("A") == 0
-    assert net.num_places == 1
-
-
-def test_intern_first_seen_order():
-    net = PlaceTransitionNet()
-    assert [net.intern_address(a) for a in ["A", "B", "A", "C"]] == [0, 1, 0, 2]
-    assert net.place_names == ["A", "B", "C"]
-
-
-def test_intern_rejects_empty_address():
-    net = PlaceTransitionNet()
-    with pytest.raises(ValueError):
-        net.intern_address("")
-
-
-def test_intern_after_seal_fails():
-    net = PlaceTransitionNet().seal()
-    with pytest.raises(NetSealedError):
-        net.intern_address("A")
 
 
 # -- recording ---------------------------------------------------------------
@@ -128,6 +96,7 @@ def test_duplicate_tx_id_rejected():
 def test_rejected_address_leaves_net_unchanged():
     net = PlaceTransitionNet()
     net.record_transaction("c", [], ["A"])
+    before = _building_state(net)
     for tx_id, inputs, outputs, error in (
         ("x", ["A"], [""], ValueError),
         ("x", ["B", ""], ["C"], ValueError),
@@ -149,14 +118,10 @@ def test_rejected_address_leaves_net_unchanged():
     ):
         with pytest.raises(error):
             net.record_transaction(tx_id, inputs, outputs)
-        assert net.place_names == ["A"]
-        assert net.transaction_ids == ["c"]
-    for addr in (5, ["a"], b"a", "", "\ud800"):
-        with pytest.raises(ValueError):
-            net.intern_address(addr)
-    assert net.place_names == ["A"]
+        assert _building_state(net) == before
     net.record_transaction("x", ("A", "A"), ("B",))
     net.seal()
+    assert net.place_names == ["A", "B"] and net.transaction_ids == ["c", "x"]
     assert net.pre.toarray().tolist() == [[0, 1], [0, 0]]
     assert net.post.toarray().tolist() == [[1, 0], [0, 1]]
 
@@ -193,7 +158,7 @@ def test_incidence_matches_dense_oracle(seed):
     assert np.array_equal(inc.entry_columns(), cols)
     assert np.array_equal(inc.row_nnz_all(), np.count_nonzero(oracle, axis=1))
     assert np.array_equal(inc.col_nnz_all(), np.count_nonzero(oracle, axis=0))
-    for form, dense in ((inc.tocsr(), oracle), (inc.tocsc(), oracle.T)):
+    for form, dense in ((tocsr(inc), oracle), (inc.tocsc(), oracle.T)):
         assert form.indptr[0] == 0 and form.indptr[-1] == len(rows)
         for line in range(dense.shape[0]):
             lo, hi = form.indptr[line], form.indptr[line + 1]
@@ -258,10 +223,17 @@ def test_row_nnz_sample(sample_net):
     assert sample_net.row_nnz("post", a2) == 3
 
 
+def _lone_place_net():
+    """A loaded net whose one place, "A", has no arcs: no recording call makes
+    such a place, but `load_snapshot` accepts one."""
+    magic, records = v2_split(v2_bytes(PlaceTransitionNet().seal()))
+    v2_set_names(records, PLACES, ["A"])
+    return load_snapshot(io.BytesIO(v2_join(magic, records)))
+
+
 def test_row_nnz_no_transactions():
-    net = PlaceTransitionNet()
-    p = net.intern_address("A")
-    net.seal()
+    net = _lone_place_net()
+    p = net.place_of("A")
     assert net.row_nnz("pre", p) == 0
     assert net.row_nnz("post", p) == 0
 
@@ -293,15 +265,34 @@ def test_bad_side_rejected(sample_net):
         sample_net.row_nnz("sideways", 0)
 
 
-def test_queries_require_seal():
+# every name and matrix query of a net, each with the arguments it is asked here
+net_queries = [
+    lambda net: net.place_names,
+    lambda net: net.transaction_ids,
+    lambda net: net.address_of(1),
+    lambda net: net.addresses_of([4, 0]),
+    lambda net: net.place_of("a2"),
+    lambda net: net.lookup_place("a2"),
+    lambda net: net.tx_id_of(4),
+    lambda net: net.tx_ids_of([6, 0]),
+    lambda net: net.transition_of("t5"),
+    lambda net: net.row_nnz("pre", 1),
+    lambda net: net.column_places("pre", 4),
+    lambda net: net.utxo_count(1),
+]
+
+
+def test_queries_require_seal(sample_net):
     net = build_net(SAMPLE_TXS, seal=False)
-    a2 = net.place_of("a2")
-    with pytest.raises(NetNotSealedError):
-        net.row_nnz("pre", a2)
-    with pytest.raises(NetNotSealedError):
-        net.column_places("pre", net.transition_of("t5"))
-    with pytest.raises(NetNotSealedError):
-        net.utxo_count(a2)
+    for query in net_queries:
+        with pytest.raises(NetNotSealedError):
+            query(net)
+    assert (net.num_places, net.num_transitions) == (6, 7)
+    assert repr(net) == "<PlaceTransitionNet level=address places=6 transitions=7 building>"
+    net.seal()
+    answers = [query(net) for query in net_queries]
+    assert answers == [query(sample_net) for query in net_queries]
+    assert answers[2:9] == ["a2", ["a5", "a1"], 1, 1, "t5", ["t7", "t1"], 4]
 
 
 # -- utxo ----------------------------------------------------------------------
@@ -313,9 +304,8 @@ def test_utxo_sample(sample_net):
 
 
 def test_utxo_fresh_place():
-    net = PlaceTransitionNet()
-    p = net.intern_address("A")
-    assert net.seal().utxo_count(p) == 0
+    net = _lone_place_net()
+    assert net.utxo_count(net.place_of("A")) == 0
 
 
 def test_utxo_can_go_negative_in_lax():
@@ -349,9 +339,9 @@ def test_binary_and_matches_dense_oracle(batch):
     assert np.array_equal(net.pre.toarray(), pre)
     assert np.array_equal(net.post.toarray(), post)
     if net.pre.nnz:
-        assert net.pre.tocsr().data.max() == 1
+        assert tocsr(net.pre).data.max() == 1
     if net.post.nnz:
-        assert net.post.tocsr().data.max() == 1
+        assert tocsr(net.post).data.max() == 1
 
 
 @given(tx_batches)
@@ -390,7 +380,7 @@ def _assert_nets_equal(left, right):
     assert left.place_names == right.place_names
     assert left.transaction_ids == right.transaction_ids
     for side in ("pre", "post"):
-        a, b = left.incidence(side).tocsr(), right.incidence(side).tocsr()
+        a, b = tocsr(left.incidence(side)), tocsr(right.incidence(side))
         assert np.array_equal(a.indptr, b.indptr)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.data, b.data)
@@ -775,9 +765,10 @@ def test_snapshot_round_trip_property(batch, rnd):
 
 
 def _building_state(net):
-    """Everything a net under construction holds, as plain lists."""
+    """Everything a net under construction holds: its address -> stamp and
+    tx id -> id dicts and its arcs, as plain dicts and lists."""
     arcs = {side: (list(rows), list(offsets)) for side, (rows, offsets) in net._arcs.items()}
-    return net.place_names, net.transaction_ids, arcs
+    return dict(net._places), dict(net._txs), arcs
 
 
 side_names = st.lists(st.sampled_from(["A", "B", "C", "é", ""]), max_size=3)
@@ -847,13 +838,11 @@ refused_calls = st.sampled_from([
      DuplicateTransactionError),
     (lambda net: net.record_block(Block.of(0, [("y", ["p7"], ["p8"]), ("z", [], [7])])),
      ValueError),
-    (lambda net: net.intern_address(""), ValueError),
 ])
 one_transaction = st.tuples(st.lists(pool, max_size=3), st.lists(pool, min_size=1, max_size=4))
 recording_steps = st.lists(st.one_of(
     st.tuples(st.just("transaction"), one_transaction),
     st.tuples(st.just("block"), st.lists(one_transaction, max_size=4)),
-    st.tuples(st.just("intern"), pool),
     st.tuples(st.just("refused"), refused_calls),
 ), max_size=12)
 
@@ -861,7 +850,6 @@ recording_steps = st.lists(st.one_of(
 @given(recording_steps)
 def test_recording_is_one_numbering_whatever_the_call_mix(steps):
     # `mixed` takes each step as drawn; `plain` records every transaction alone
-    # and interns only an address that no transaction has met yet
     mixed, plain = PlaceTransitionNet(), PlaceTransitionNet()
     first_seen: dict[str, int] = {}
     tx_ids: list[str] = []
@@ -872,10 +860,6 @@ def test_recording_is_one_numbering_whatever_the_call_mix(steps):
             with pytest.raises(error):
                 call(mixed)
             assert (_building_state(mixed), repr(mixed._stamps)) == before
-        elif kind == "intern":
-            if arg not in first_seen:
-                plain.intern_address(arg)
-            assert mixed.intern_address(arg) == first_seen.setdefault(arg, len(first_seen))
         else:
             sides = [arg] if kind == "transaction" else arg
             txs = [(f"x{len(tx_ids) + j}", ins, outs) for j, (ins, outs) in enumerate(sides)]
@@ -888,15 +872,18 @@ def test_recording_is_one_numbering_whatever_the_call_mix(steps):
                 tx_ids.append(tx_id)
                 for addr in inputs + outputs:
                     first_seen.setdefault(addr, len(first_seen))
-        names = list(first_seen)
-        for net in (mixed, plain):
-            assert net.num_places == len(names) and net.place_names == names
-            assert [net.address_of(p) for p in range(len(names))] == names
-            assert [net.place_of(addr) for addr in names] == list(range(len(names)))
-            assert net.lookup_place("zz") is None
-            assert net.transaction_ids == tx_ids and net.num_transitions == len(tx_ids)
-            assert [net.transition_of(tx_id) for tx_id in tx_ids] == list(range(len(tx_ids)))
-    _assert_nets_equal(mixed.seal(), plain.seal())
+        assert _building_state(mixed) == _building_state(plain)
+        assert repr(mixed._stamps) == repr(plain._stamps)
+        assert mixed.num_places == len(first_seen) and mixed.num_transitions == len(tx_ids)
+    names = list(first_seen)
+    for net in (mixed.seal(), plain.seal()):
+        assert net.place_names == names
+        assert [net.address_of(p) for p in range(len(names))] == names
+        assert [net.place_of(addr) for addr in names] == list(range(len(names)))
+        assert net.lookup_place("zz") is None
+        assert net.transaction_ids == tx_ids
+        assert [net.transition_of(tx_id) for tx_id in tx_ids] == list(range(len(tx_ids)))
+    _assert_nets_equal(mixed, plain)
     assert v2_bytes(mixed) == v2_bytes(plain)
 
 
@@ -924,7 +911,7 @@ def test_refused_block_raises_the_loops_first_error_and_changes_nothing(block):
     assert str(raised.value) == message
     assert _building_state(net) == before
     net.record_block(Block.of(0, [("n", ["A"], ["Z", "A"])]))
-    assert net.place_names == ["A", "B", "C", "Z"]
+    assert net.seal().place_names == ["A", "B", "C", "Z"]
     # ingest refuses the block with the same error in both modes, the height before a duplicate
     if error is DuplicateTransactionError:
         message = f"block 1: {message}"
@@ -954,8 +941,7 @@ def test_record_block_checks_its_columns():
     net.record_block(Block(0, [], [], [], []))
     net.record_block(Block(0, ["x"], ["A", "B"], np.array([1]), np.array([1], dtype=np.int32)))
     net.record_block(Block(0, ["y"], ["B", "C"], [1], [1]))
-    assert net.place_names == ["A", "B", "C"]
-    net.seal()
+    assert net.seal().place_names == ["A", "B", "C"]
     with pytest.raises(NetSealedError):
         net.record_block(Block(0, ["x"], ["A"], [0], [1]))
 

@@ -88,10 +88,18 @@ def test_bench_pair_runs_one_pair_against_head():
 
 
 def test_bench_pair_refuses_a_revision_whose_benchmark_differs():
+    if _git("rev-parse", "--git-dir").returncode:
+        pytest.skip("needs a git checkout")
     empty_tree = _git("hash-object", "-t", "tree", "--stdin").stdout.strip()
-    if not empty_tree:
-        pytest.skip("needs git")
     done = subprocess.run([sys.executable, str(TOOLS / "bench_pair.py"), empty_tree],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and "refusing to compare" in done.stderr
     assert done.stdout == ""
+
+
+def test_bench_pair_refuses_an_unknown_revision():
+    done = subprocess.run([sys.executable, str(TOOLS / "bench_pair.py"), "no-such-revision"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == (f"no-such-revision names no revision of the git checkout "
+                           f"{TOOLS.parent}\n")

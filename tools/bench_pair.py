@@ -11,7 +11,9 @@ so generated inputs are shared.  Before each run, `src/` becomes either
 `bench/run.py` once per side, and the side that goes first alternates.  The
 script prints one JSON line per run, then one line with the median change in
 percent of each end-to-end metric of `BENCHMARK.json`, working tree against
-REV, and the number of pairs in which the working tree was better.
+REV, and the number of pairs in which the working tree was better.  A REV
+that names no tree of the checkout, or a checkout outside git, exits with
+code 3.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
+    if git("rev-parse", "--verify", "--quiet", f"{args.rev}^{{tree}}",
+           capture_output=True).returncode:
+        print(f"{args.rev} names no revision of the git checkout {ROOT}", file=sys.stderr)
+        return 3
     paths = ("bench", "BENCHMARK.json")
     differs = git("diff", "--quiet", args.rev, "--", *paths).returncode
     if differs > 1:
