@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chains import disposable_addresses
-from .net import PlaceTransitionNet, _distinct, _label_groups, _offsets, _split
+from .net import PlaceTransitionNet, _distinct, _label_groups, _offsets, _ranges, _split
 
 SIDES = ("pre", "post", "both")
 
@@ -63,7 +63,7 @@ def degree_multiset(net: PlaceTransitionNet, side: str) -> DegreeMultiset:
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if side == "both":
-        counts = net.pre.row_nnz_all() + net.post.row_nnz_all()
+        counts = net.pre.row_nnz_all().astype(np.int64) + net.post.row_nnz_all()
     else:
         counts = net.incidence(side).row_nnz_all().copy()
     return DegreeMultiset(side, counts)
@@ -111,7 +111,7 @@ def top_k_active(net: PlaceTransitionNet, k: int) -> list[tuple[int, int, int]]:
         raise ValueError("k must be >= 1")
     pre = net.pre.row_nnz_all()
     post = net.post.row_nnz_all()
-    total = pre + post
+    total = pre.astype(np.int64) + post
     order = np.lexsort((np.arange(len(total)), -total))[:k]
     return [(int(p), int(pre[p]), int(post[p])) for p in order]
 
@@ -121,21 +121,63 @@ def accumulate_only(net: PlaceTransitionNet) -> np.ndarray:
     return (net.pre.row_nnz_all() == 0) & (net.post.row_nnz_all() > 0)
 
 
+# the odd multipliers of the hashes of `repeated_groups`; with `_MIX` patched to 0, a
+# column hashes to its entry count, so all columns of one count collide
+_MIX, _FOLD = np.int64(0x5851F42D4C957F2D), np.int64(0x2545F4914F6CDD1D)
+
+
 def repeated_groups(net: PlaceTransitionNet) -> RepeatGroups:
     """Group transitions whose concatenated pre/post columns are identical.
 
     Column identity includes the stored values, so entity-level nets group
     only transitions that repeat with the same multiplicities.  Singleton
     groups are omitted; groups come in the order of their first member.
+    Transitions that share a hash are compared entry by entry with the
+    smallest of them; a hash with a mismatch is grouped shape by shape.
     """
     pre, post = net.pre.tocsc(), net.post.tocsc()
     pre_nnz, post_nnz = np.diff(pre.indptr), np.diff(post.indptr)
-    # Only transitions with the same entry count on each side can repeat.
-    _, shape = np.unique(pre_nnz * (post_nnz.max(initial=0) + 1) + post_nnz,
-                         return_inverse=True)
+    keys = np.zeros(net.num_transitions, dtype=np.int64)
+    for csc in (pre, post):
+        # a column's hash: the wrapping sum over its entries of 1 plus a mix of the
+        # word `row << 32 | value`, read off one cumulative sum in column order
+        sums = np.zeros(len(csc.indices) + 1, dtype=np.int64)
+        entries = sums[1:]
+        entries[:] = csc.indices
+        entries <<= 32
+        entries += csc.data
+        for multiplier in (_MIX, _FOLD):
+            entries ^= entries >> 33
+            entries *= multiplier
+        entries ^= entries >> 33
+        entries += 1
+        keys = keys * _FOLD + np.diff(np.cumsum(sums, out=sums)[csc.indptr])
+    # one sort of the hashes with each transition's id in their low bits puts each
+    # run of one hash in id order, its smallest transition, its head, first
+    bits = net.num_transitions.bit_length()
+    keys = np.sort(keys >> bits << bits | np.arange(net.num_transitions))
+    keys, cols = keys >> bits, keys & ((1 << bits) - 1)
+    shared = np.zeros(len(keys), dtype=bool)
+    np.equal(keys[1:], keys[:-1], out=shared[1:])
+    shared[:-1] |= shared[1:]
+    keys, cols = keys[shared], cols[shared]
+    head = cols[np.searchsorted(keys, keys)]
+    differ = (pre_nnz[cols] != pre_nnz[head]) | (post_nnz[cols] != post_nnz[head])
+    for csc in (pre, post):
+        lengths = np.where(differ, 0, np.diff(csc.indptr)[cols])
+        at, head_at = _ranges(csc.indptr[cols], lengths), _ranges(csc.indptr[head], lengths)
+        unequal = (csc.indices[at] != csc.indices[head_at]) | (csc.data[at] != csc.data[head_at])
+        differ[np.repeat(np.arange(len(cols)), lengths)[unequal]] = True
     first = np.arange(net.num_transitions)
+    first[cols] = head
+    # the runs with a mismatch; only transitions with the same entry count on each
+    # side can repeat
+    mixed = np.sort(cols[np.isin(head, head[differ])])
+    first[mixed] = mixed
+    _, shape = np.unique(pre_nnz[mixed].astype(np.int64) * (int(post_nnz.max(initial=0)) + 1)
+                         + post_nnz[mixed], return_inverse=True)
     for members in _label_groups(shape, 2):
-        cols = np.array(members)
+        cols = mixed[members]
         pre_at = pre.indptr[cols, None] + np.arange(pre_nnz[cols[0]])
         post_at = post.indptr[cols, None] + np.arange(post_nnz[cols[0]])
         rows = np.hstack([pre.indices[pre_at], pre.data[pre_at],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainIntegrityError
-from .net import PlaceTransitionNet, _json_strings, _offsets, _split, _write_json_rows
+from .net import PlaceTransitionNet, _json_strings, _offsets, _ranges, _split, _write_json_rows
 
 
 @dataclass
@@ -193,8 +193,7 @@ def _chain_paths(net: PlaceTransitionNet, chains: list[Chain]):
     # every output entry of each last link, then the disposable ones
     first = post.indptr[last]
     counts = post.indptr[last + 1] - first
-    entries = np.arange(counts.sum()) + np.repeat(first - _offsets(counts)[:-1], counts)
-    outputs = post.indices[entries]
+    outputs = post.indices[_ranges(first, counts)]
     keep = disposable_addresses(net)[outputs]
     chain_ids = np.arange(len(chains))
     owner = np.concatenate([np.repeat(chain_ids, lengths), np.repeat(chain_ids, counts)[keep]])

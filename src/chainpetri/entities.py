@@ -70,7 +70,7 @@ def compute_entities(net: PlaceTransitionNet) -> EntityPartition:
     # every place points at its root.  Labels only decrease, so a component
     # ends rooted at its smallest place, and each round removes at least one
     # root.
-    label = np.arange(net.num_places)
+    label = np.arange(net.num_places, dtype=csc.indices.dtype)
     while len(u):
         lu, lv = label[u], label[v]
         u, v = np.minimum(lu, lv), np.maximum(lu, lv)
@@ -82,7 +82,9 @@ def compute_entities(net: PlaceTransitionNet) -> EntityPartition:
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    return EntityPartition(np.unique(label, return_inverse=True)[1])
+    # each root is its own label; entities are numbered by their roots in order
+    roots = label == np.arange(net.num_places, dtype=label.dtype)
+    return EntityPartition((np.cumsum(roots, dtype=label.dtype) - 1)[label])
 
 
 def build_entity_net(net: PlaceTransitionNet, partition: EntityPartition) -> EntityNet:
@@ -107,9 +109,10 @@ def _sum_rows(matrix: SparseIncidence, labels: np.ndarray, k: int) -> SparseInci
     csc = matrix.tocsc()
     keys = np.sort(matrix.entry_columns() * k + labels[csc.indices])
     first = np.diff(keys, prepend=-1) != 0
-    starts = np.flatnonzero(first)
-    return SparseIncidence(_offsets(first)[csc.indptr], keys[starts] % k,
-                           np.diff(starts, append=len(keys)), (k, matrix.num_cols))
+    # at the source's width, which holds every sum; the keys go before the matrix comes
+    sums = np.diff(np.flatnonzero(first), append=len(keys)).astype(csc.indices.dtype)
+    keys = (keys[first] % k).astype(csc.indices.dtype)
+    return SparseIncidence(_offsets(first)[csc.indptr], keys, sums, (k, matrix.num_cols))
 
 
 def _check_partition(partition: EntityPartition, num_places: int) -> int:

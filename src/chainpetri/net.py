@@ -32,6 +32,8 @@ ADDRESS_LEVEL = "address"
 ENTITY_LEVEL = "entity"
 SIDES = ("pre", "post")
 
+_INT32_LIMIT = 2**31  # a `SparseIncidence` below it on every count and value is int32
+
 
 class Compressed(NamedTuple):
     """One compressed form: line i holds `indices[indptr[i]:indptr[i + 1]]`
@@ -47,17 +49,26 @@ class SparseIncidence:
 
     Stores one compressed column form, whose arrays are read-only, plus the
     per-row entry counts; the row form is derived on request.  Zero entries
-    are never stored.
+    are never stored.  All four arrays are int32 when the row count and every
+    value are below `_INT32_LIMIT`, else int64, whatever the input's width:
+    a product or sum of stored values must widen first.
     """
 
     def __init__(self, indptr, indices, data, shape: tuple[int, int]):
         """Check and store a compressed column form: column j holds rows
         `indices[indptr[j]:indptr[j + 1]]`, strictly rising, with values
         `data[indptr[j]:indptr[j + 1]]`, each at least 1.  Raises ValueError
-        on a malformed `indptr`, on a row outside `shape` (naming the first),
-        on rows that do not rise within a column and on a value below 1."""
+        on a float, bool or object array, on a malformed `indptr`, on a row
+        outside `shape` (naming the first), on rows that do not rise within
+        a column and on a value below 1."""
         self.num_rows, self.num_cols = shape
-        indptr, indices, data = (np.asarray(a, dtype=np.int64) for a in (indptr, indices, data))
+        arrays = [np.asarray(a) for a in (indptr, indices, data)]
+        if any(a.size and a.dtype.kind not in "iu" for a in arrays):
+            raise ValueError("indptr, rows and values must be integer arrays")
+        fits = all(-_INT32_LIMIT <= a.min(initial=0) and a.max(initial=0) < _INT32_LIMIT
+                   for a in arrays)
+        width = np.int32 if fits and self.num_rows < _INT32_LIMIT else np.int64
+        indptr, indices, data = (a.astype(width, copy=False) for a in arrays)
         nnz = len(indices)
         if (len(indptr) != self.num_cols + 1 or indptr[0] != 0 or indptr[-1] != nnz
                 or np.any(indptr[1:] < indptr[:-1]) or len(data) != nnz):
@@ -73,7 +84,7 @@ class SparseIncidence:
         if nnz and data.min() < 1:
             raise ValueError("incidence entries must be at least 1")
         self._csc = Compressed(indptr, indices, data)
-        self._row_nnz = np.bincount(indices, minlength=self.num_rows)
+        self._row_nnz = np.bincount(indices, minlength=self.num_rows).astype(width)
         for stored in (*self._csc, self._row_nnz):
             stored.flags.writeable = False
 
@@ -123,6 +134,11 @@ class SparseIncidence:
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`arange(s, s + n)` for each start s and length n, end to end."""
+    return np.arange(lengths.sum()) + np.repeat(starts - _offsets(lengths)[:-1], lengths)
 
 
 def _label_groups(labels: np.ndarray, min_size: int) -> list[list[int]]:
@@ -183,8 +199,8 @@ def are_names(values) -> bool:
 
 
 def _ones(count: int) -> np.ndarray:
-    """The values of an address-level matrix: a read-only view of one 1."""
-    return np.broadcast_to(np.int64(1), count)
+    """The values of an address-level matrix: a read-only view of one int32 1."""
+    return np.broadcast_to(np.int32(1), count)
 
 
 @dataclass(slots=True)
@@ -538,8 +554,9 @@ class PlaceTransitionNet:
                 np.take(rank, arcs, out=arcs, mode="clip")
             del rank
             shape = (self.num_places, self.num_transitions)
-            # each matrix keeps its side's build arrays as indptr and indices, uncopied
-            for side, (rows, offsets) in self._arcs.items():
+            # a side's build arrays go once its matrix holds them, narrowed where they fit
+            for side in SIDES:
+                rows, offsets = self._arcs.pop(side)
                 self._incidence[side] = SparseIncidence(offsets, rows, _ones(len(rows)), shape)
             self._arcs = self._stamps = None
         return self

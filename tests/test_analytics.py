@@ -6,9 +6,10 @@ import io
 import random
 from collections import Counter
 
+import chainpetri.analytics
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainpetri import (
@@ -212,6 +213,19 @@ def test_repeats_match_allpairs_oracle(level, seed):
 def test_repeat_oracle_seeds_reach_multiplicities():
     # the entity-level oracle cases above must hold values above 1 somewhere
     assert any(_oracle_net(seed, "entity")[1].max(initial=0) > 1 for seed in range(10))
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["mixed", "every-column-collides"])
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), level=st.sampled_from(["address", "entity"]))
+def test_repeats_match_allpairs_oracle_whatever_the_hashes(collide, seed, level):
+    net, pre, post = _oracle_net(seed, level)
+    with pytest.MonkeyPatch.context() as patch:
+        if collide:
+            # a column hashes to its entry count, so only the entry-by-entry check and
+            # the grouping shape by shape tell the columns of one count apart
+            patch.setattr(chainpetri.analytics, "_MIX", np.int64(0))
+        assert repeated_groups(net).groups == allpairs_repeat_groups(pre, post)
 
 
 def test_repeat_count_definition(sample_net):

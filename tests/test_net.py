@@ -198,6 +198,32 @@ def test_incidence_rejects_malformed_column_form():
     ):
         with pytest.raises(ValueError, match=match):
             SparseIncidence(bad_indptr, bad_rows, bad_values, (3, 3))
+    # a float, bool or object array is refused, not truncated or read as 0 and 1
+    for bad_indptr, bad_rows, bad_values in (
+        ([0, 1], [1.7], [2.9]),
+        ([0, 1], [1], [2.9]),
+        ([0, 1], [True], [1]),
+        ([0, 1], [1], [True]),
+        ([0.0, 1.0], [1], [1]),
+        ([0, 1], np.array([1], dtype=object), [1]),
+    ):
+        with pytest.raises(ValueError, match="must be integer arrays"):
+            SparseIncidence(bad_indptr, bad_rows, bad_values, (3, 1))
+    # empty lists are float64 to numpy, but hold no value to refuse
+    assert SparseIncidence([0], [], [], (3, 0)).nnz == 0
+
+
+def test_incidence_is_int32_unless_a_value_needs_int64():
+    def widths(matrix):
+        return {array.dtype.name for array in (*matrix.tocsc(), matrix.row_nnz_all())}
+
+    assert widths(SparseIncidence(np.array([0, 1]), [2], [2**31 - 1], (3, 1))) == {"int32"}
+    wide = SparseIncidence([0, 1], np.array([2], dtype=np.int32), [2**31], (3, 1))
+    assert widths(wide) == {"int64"} and wide.toarray().tolist() == [[0], [0], [2**31]]
+    # narrowing would wrap these rows into range
+    for row in (-2**32 + 1, 2**32 + 1):
+        with pytest.raises(ValueError, match=f"^row {row} out of range"):
+            SparseIncidence([0, 1], [row], [1], (3, 1))
 
 
 def test_stored_column_form_is_read_only(sample_net):

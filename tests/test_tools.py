@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from chainpetri import GeneratorConfig, generate_synthetic, load_snapshot
-from helpers import synth_sha256
+from helpers import synth_sha256, v2_bytes
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
@@ -30,6 +30,16 @@ ANALYSES = {
 }
 
 
+def _analysis_sha256(workdir: pathlib.Path, command: str) -> str:
+    """The sha256 over the files the analysis wrote, which must be exactly its own."""
+    directory, files = ANALYSES[command]
+    assert sorted(path.name for path in (workdir / directory).iterdir()) == files
+    digest = hashlib.sha256()
+    for name in files:
+        digest.update((workdir / directory / name).read_bytes())
+    return digest.hexdigest()
+
+
 def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
     done = subprocess.run([sys.executable, str(TOOLS / "c8_build.py"), str(tmp_path),
                            "--scale", "0.0005", "--runs", "2", "--mode", "strict"],
@@ -38,6 +48,7 @@ def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     (synth, *runs), analyses = lines[:3], lines[3:]
     assert synth["command"] == "synth" and synth["wall_s"] > 0 and synth["peak_rss_mb"] > 0
+    assert all(line["cpu_s"] > 0 for line in lines)
     assert synth["sha256"] == synth_sha256(tmp_path / "blocks")
     assert [run["run"] for run in runs] == [0, 1]
     for run in runs:
@@ -49,18 +60,33 @@ def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
     assert [analysis["command"] for analysis in analyses] == list(ANALYSES)
     for analysis in analyses:
         assert analysis["wall_s"] > 0 and analysis["peak_rss_mb"] > 0
-        directory, files = ANALYSES[analysis["command"]]
-        assert sorted(path.name for path in (tmp_path / directory).iterdir()) == files
-        digest = hashlib.sha256()
-        for name in files:
-            digest.update((tmp_path / directory / name).read_bytes())
-        assert analysis["sha256"] == digest.hexdigest()
+        assert analysis["sha256"] == _analysis_sha256(tmp_path, analysis["command"])
     top = json.loads((tmp_path / "top_k_10" / "stdout.json").read_text())
     assert len(top) == 10
     config = json.loads((tmp_path / "config.json").read_text())
     assert config["block_size"] == 5000 and config["fillers"] == 188
     blocks, _ = generate_synthetic(GeneratorConfig(**config), seed=8)
     assert load_snapshot(snapshot).num_transitions == sum(len(b.tx_ids) for b in blocks)
+
+
+def test_c8_build_analyses_a_given_snapshot(tmp_path, sample_net):
+    snapshot = tmp_path / "given.snap"
+    sample_net.save_snapshot(snapshot)
+    workdir = tmp_path / "work"
+    done = subprocess.run([sys.executable, str(TOOLS / "c8_build.py"), str(workdir),
+                           "--snapshot", str(snapshot)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [line["command"] for line in lines] == list(ANALYSES)
+    # neither synth nor build ran: the workdir holds only the analyses' output
+    assert sorted(path.name for path in workdir.iterdir()) == sorted(
+        directory for directory, _ in ANALYSES.values())
+    for line in lines:
+        assert set(line) == {"command", "wall_s", "cpu_s", "peak_rss_mb", "sha256"}
+        assert line["wall_s"] > 0 and line["cpu_s"] > 0 and line["peak_rss_mb"] > 0
+        assert line["sha256"] == _analysis_sha256(workdir, line["command"])
+    assert snapshot.read_bytes() == v2_bytes(sample_net)
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:

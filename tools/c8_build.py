@@ -1,14 +1,17 @@
 """Time the `chainpetri` workflow on the acceptance criterion-8 ledger.
 
 usage: python3 tools/c8_build.py WORKDIR [--runs N] [--mode lax|strict] [--scale S]
+       python3 tools/c8_build.py WORKDIR --snapshot PATH
 
 Writes the criterion-8 generator config (seed 8, 1,005,000 transactions and
 about 1,209,000 addresses at scale 1) to WORKDIR, runs `chainpetri synth`
 once into WORKDIR/blocks, runs `chainpetri build` on those blocks N times,
 then runs each command of `ANALYSES` once on the snapshot, each command in
-its own child process.  It prints one JSON line for the synth run, then one
-for each build, then one for each analysis: the wall seconds and the
-child's peak RSS from `os.wait4`, then for synth the sha256 over its block
+its own child process.  With `--snapshot PATH` it runs only the analyses,
+on that existing snapshot.  It prints one JSON line for the synth run, then
+one for each build, then one for each analysis: the wall seconds, the
+child's CPU seconds (user plus system) and its peak RSS, both from
+`os.wait4`, then for synth the sha256 over its block
 files in height order and `ground_truth.json`, for a build the sha256 of
 the snapshot and of its report, and for an analysis the sha256 over the
 files of its output directory in name order.  An analysis writes to a
@@ -69,7 +72,8 @@ def scaled_config(scale: float) -> dict:
 
 def chainpetri(*args: str, stdout=None):
     """Run one chainpetri command in a child, its stdout to `stdout` if given;
-    returns its wall seconds and peak RSS in MB, and fails on a non-zero exit."""
+    returns its wall and CPU seconds and peak RSS in MB as JSON fields, and
+    fails on a non-zero exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
     started = time.perf_counter()
@@ -81,7 +85,8 @@ def chainpetri(*args: str, stdout=None):
     child.returncode = os.waitstatus_to_exitcode(status)
     if child.returncode:
         raise SystemExit(f"chainpetri {args[0]} exited with {child.returncode}")
-    return wall, usage.ru_maxrss / 1024
+    return {"wall_s": round(wall, 3), "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
 def sha256(*paths: str) -> str:
@@ -104,7 +109,7 @@ def synth_files(directory: str) -> list[str]:
 
 def analyse(snapshot: str, command: tuple[str, ...], out: str):
     """Run one analysis command on the snapshot, its output in directory `out`;
-    returns its wall seconds and peak RSS in MB."""
+    returns what `chainpetri` returns."""
     if command[0] not in PRINTING:
         return chainpetri(*command, snapshot, "--out", out)
     os.makedirs(out, exist_ok=True)
@@ -118,32 +123,37 @@ def main(argv=None) -> int:
     parser.add_argument("--runs", type=int, default=1)
     parser.add_argument("--mode", choices=["lax", "strict"], default="lax")
     parser.add_argument("--scale", type=float, default=1.0)
+    parser.add_argument("--snapshot", help="skip synth and build; analyse this snapshot")
     args = parser.parse_args(argv)
 
     os.makedirs(args.workdir, exist_ok=True)
+    snapshot = args.snapshot or os.path.join(args.workdir, "net.snap")
+    if not args.snapshot:
+        build(args, snapshot)
+    for command in ANALYSES:
+        out = os.path.join(args.workdir, "_".join(word.lstrip("-") for word in command))
+        run = analyse(snapshot, command, out)
+        files = [os.path.join(out, name) for name in sorted(os.listdir(out))]
+        print(json.dumps({"command": " ".join(command), **run, "sha256": sha256(*files)}),
+              flush=True)
+    return 0
+
+
+def build(args, snapshot: str):
+    """Synth the ledger once into WORKDIR/blocks, then build `snapshot` from it
+    `args.runs` times, printing a line for each."""
     config = os.path.join(args.workdir, "config.json")
     with open(config, "w", encoding="utf-8") as fh:
         json.dump(scaled_config(args.scale), fh)
     blocks = os.path.join(args.workdir, "blocks")
-    wall, peak = chainpetri("synth", "--config", config, "--seed", str(SEED), "--out", blocks)
-    print(json.dumps({"command": "synth", "wall_s": round(wall, 3), "peak_rss_mb": round(peak, 1),
-                      "sha256": sha256(*synth_files(blocks))}), flush=True)
-
-    snapshot = os.path.join(args.workdir, "net.snap")
-    for run in range(args.runs):
-        wall, peak = chainpetri("build", blocks, "--mode", args.mode, "--out", snapshot)
-        print(json.dumps({"run": run, "mode": args.mode, "wall_s": round(wall, 3),
-                          "peak_rss_mb": round(peak, 1),
+    run = chainpetri("synth", "--config", config, "--seed", str(SEED), "--out", blocks)
+    print(json.dumps({"command": "synth", **run, "sha256": sha256(*synth_files(blocks))}),
+          flush=True)
+    for number in range(args.runs):
+        run = chainpetri("build", blocks, "--mode", args.mode, "--out", snapshot)
+        print(json.dumps({"run": number, "mode": args.mode, **run,
                           "snapshot_sha256": sha256(snapshot),
                           "report_sha256": sha256(f"{snapshot}.report.json")}), flush=True)
-
-    for command in ANALYSES:
-        out = os.path.join(args.workdir, "_".join(word.lstrip("-") for word in command))
-        wall, peak = analyse(snapshot, command, out)
-        files = [os.path.join(out, name) for name in sorted(os.listdir(out))]
-        print(json.dumps({"command": " ".join(command), "wall_s": round(wall, 3),
-                          "peak_rss_mb": round(peak, 1), "sha256": sha256(*files)}), flush=True)
-    return 0
 
 
 if __name__ == "__main__":
