@@ -168,28 +168,30 @@ def repeated_groups(net: PlaceTransitionNet) -> RepeatGroups:
         at, head_at = _ranges(csc.indptr[cols], lengths), _ranges(csc.indptr[head], lengths)
         unequal = (csc.indices[at] != csc.indices[head_at]) | (csc.data[at] != csc.data[head_at])
         differ[np.repeat(np.arange(len(cols)), lengths)[unequal]] = True
-    first = np.arange(net.num_transitions)
-    first[cols] = head
-    # the runs with a mismatch; only transitions with the same entry count on each
-    # side can repeat
-    mixed = np.sort(cols[np.isin(head, head[differ])])
-    first[mixed] = mixed
-    _, shape = np.unique(pre_nnz[mixed].astype(np.int64) * (int(post_nnz.max(initial=0)) + 1)
-                         + post_nnz[mixed], return_inverse=True)
+    # each candidate's label is its run's head; a run with a mismatch is relabelled shape
+    # by shape, as only transitions with the same entry counts can repeat
+    first = head
+    mixed = np.flatnonzero(np.isin(head, head[differ]))
+    first[mixed] = cols[mixed]
+    _, shape = np.unique(pre_nnz[cols[mixed]].astype(np.int64) * (int(post_nnz.max(initial=0)) + 1)
+                         + post_nnz[cols[mixed]], return_inverse=True)
     for members in _label_groups(shape, 2):
-        cols = mixed[members]
-        pre_at = pre.indptr[cols, None] + np.arange(pre_nnz[cols[0]])
-        post_at = post.indptr[cols, None] + np.arange(post_nnz[cols[0]])
+        at = mixed[members]
+        pre_at = pre.indptr[cols[at], None] + np.arange(pre_nnz[cols[at[0]]])
+        post_at = post.indptr[cols[at], None] + np.arange(post_nnz[cols[at[0]]])
         rows = np.hstack([pre.indices[pre_at], pre.data[pre_at],
                           post.indices[post_at], post.data[post_at]])
-        # the sort is stable, so each run of equal rows starts at its smallest
-        # transition
+        # within a hash run candidates rise by id and the sort is stable, so each
+        # run of equal rows starts at its smallest transition
         order = np.lexsort(rows.T)
-        rows, cols = rows[order], cols[order]
+        rows, at = rows[order], at[order]
         starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-        first[cols] = np.repeat(cols[starts], np.diff(np.r_[starts, len(cols)]))
+        first[at] = np.repeat(cols[at[starts]], np.diff(np.r_[starts, len(at)]))
 
-    groups = _label_groups(first, 2)
+    # the groups, from the candidates alone, in label order with members ascending
+    order = np.lexsort((cols, first))
+    sizes = np.unique(first, return_counts=True)[1]
+    groups = [group for group in _split(cols[order].tolist(), _offsets(sizes)) if len(group) > 1]
     repetition_count = sum(len(g) - 1 for g in groups)
     n = net.num_transitions
     fraction = repetition_count / n if n else 0.0

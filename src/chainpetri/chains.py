@@ -9,6 +9,7 @@ the whole chain in execution order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,37 +86,44 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
     ChainIntegrityError unless every chain link's successor is the next
     link of its own chain, which holds on temporally valid input.
     """
+    # work at the stored indices' width: it holds any transition id, as each has an output
+    pre, post = net.pre.tocsc(), net.post.tocsc()
+    width = np.result_type(pre.indices, post.indices)
     # each place's smallest spender, or num_transitions if nothing spends
     # it; a disposable place has one spender
-    spender_of = np.full(net.num_places, net.num_transitions)
-    np.minimum.at(spender_of, net.pre.tocsc().indices, net.pre.entry_columns())
+    spender_of = np.full(net.num_places, net.num_transitions, dtype=width)
+    np.minimum.at(spender_of, pre.indices,
+                  np.repeat(np.arange(net.num_transitions, dtype=width), net.pre.col_nnz_all()))
 
     # (link, spender) for each disposable output of a chain transaction,
     # spent by a chain transaction
     in_chain = sets.transactions_d
-    link = net.post.entry_columns()
-    place = net.post.tocsc().indices
+    link = np.repeat(np.arange(net.num_transitions, dtype=width), net.post.col_nnz_all())
+    place = post.indices
     keep = in_chain[link] & sets.addresses_d[place] & (spender_of[place] < net.num_transitions)
     link, spender = link[keep], spender_of[place[keep]]
+    del spender_of, place
     keep = in_chain[spender]
     link, spender = link[keep], spender[keep]
     order = np.lexsort((spender, link))
     link, spender = link[order], spender[order]
+    del keep, order
     smallest = np.ones(len(link), dtype=bool)
     smallest[1:] = link[1:] != link[:-1]
 
     # the jumping arrays index the chain transactions only
-    ids = np.flatnonzero(in_chain)
-    link = np.searchsorted(ids, link)
-    tails, successor = link[smallest], np.searchsorted(ids, spender[smallest])
+    ids = np.flatnonzero(in_chain).astype(width)
+    link = np.searchsorted(ids, link).astype(width)
+    tails, successor = link[smallest], np.searchsorted(ids, spender[smallest]).astype(width)
     is_start = sets.starts_d[ids]
     # each link's predecessor, or itself at a start and where no link chose it;
     # of two links choosing one successor the smaller is kept
-    root = np.arange(len(ids))
+    root = np.arange(len(ids), dtype=width)
     chosen, first = np.unique(successor, return_index=True)
     root[chosen] = tails[first]
+    del chosen, first
     root[is_start] = np.flatnonzero(is_start)
-    depth = (root != np.arange(len(ids))).astype(np.int64)
+    depth = (root != np.arange(len(ids), dtype=width)).astype(width)
     for _ in range(len(ids).bit_length()):
         depth += depth[root]
         root = root[root]
@@ -126,16 +134,17 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
     if broken.any():
         raise ChainIntegrityError(f"the successor of transition {ids[tails[broken.argmax()]]} "
                                   "is not the next link of its chain")
+    del broken, tails, successor
 
     # chains in report order; a link sits at its chain's offset plus its depth
     heads = np.flatnonzero(is_start)
     lengths = np.bincount(root[placed], minlength=len(ids))[heads]
     ranked = np.lexsort((heads, -lengths))
-    rank = np.zeros(len(ids), dtype=np.int64)
+    rank = np.zeros(len(ids), dtype=width)
     rank[heads[ranked]] = np.arange(len(heads))
     ends = _offsets(lengths[ranked])
     at = ends[rank[root]] + depth
-    links = np.empty(ends[-1], dtype=np.int64)
+    links = np.empty(ends[-1], dtype=width)
     links[at[placed]] = ids[placed]
 
     others = ~smallest & placed[link]
@@ -186,16 +195,18 @@ def _chain_paths(net: PlaceTransitionNet, chains: list[Chain]):
     Chain i's links are `links[ends[i]:ends[i + 1]]` and its path is
     `path[bounds[i]:bounds[i + 1]]`.  Returns (links, ends, path, bounds)."""
     pre, post = net.pre.tocsc(), net.post.tocsc()
+    width = np.result_type(pre.indices, post.indices)
     lengths = np.fromiter(map(len, chains), np.int64, len(chains))
-    links = np.array([t for chain in chains for t in chain.links], dtype=np.int64)
     ends = _offsets(lengths)
+    links = np.fromiter(itertools.chain.from_iterable(chain.links for chain in chains), width,
+                        ends[-1])
     last = links[ends[1:] - 1]
     # every output entry of each last link, then the disposable ones
     first = post.indptr[last]
     counts = post.indptr[last + 1] - first
     outputs = post.indices[_ranges(first, counts)]
     keep = disposable_addresses(net)[outputs]
-    chain_ids = np.arange(len(chains))
+    chain_ids = np.arange(len(chains), dtype=width)
     owner = np.concatenate([np.repeat(chain_ids, lengths), np.repeat(chain_ids, counts)[keep]])
     path = np.concatenate([pre.indices[pre.indptr[links]], outputs[keep]])
     # a stable sort on the owning chain puts each chain's outputs after its inputs

@@ -73,8 +73,10 @@ class SparseIncidence:
         if (len(indptr) != self.num_cols + 1 or indptr[0] != 0 or indptr[-1] != nnz
                 or np.any(indptr[1:] < indptr[:-1]) or len(data) != nnz):
             raise ValueError("indptr must start at 0, not fall and end at nnz == len(data)")
-        if nnz and (indices.min() < 0 or indices.max() >= self.num_rows):
-            bad = indices[(indices < 0) | (indices >= self.num_rows)][0]
+        # the rows as given, so that an error names a row before the width changes it
+        rows = arrays[1]
+        if nnz and (rows.min() < 0 or rows.max() >= self.num_rows):
+            bad = rows[(rows < 0) | (rows >= self.num_rows)][0]
             raise ValueError(f"row {bad} out of range (0..{self.num_rows - 1})")
         # a row may only fail to rise where its entry starts a column
         starts = np.zeros(nnz + 1, dtype=bool)
@@ -158,7 +160,7 @@ def _split(items: list, bounds: np.ndarray) -> list[list]:
 
 # strings per write of `_write_json_rows`, each row counting as one more: bounds
 # the text held at once
-_STRINGS_PER_WRITE = 8192
+_STRINGS_PER_WRITE = 2048
 
 
 def _write_json_rows(fh, sizes: np.ndarray, rows):

@@ -209,6 +209,9 @@ def test_incidence_rejects_malformed_column_form():
     ):
         with pytest.raises(ValueError, match="must be integer arrays"):
             SparseIncidence(bad_indptr, bad_rows, bad_values, (3, 1))
+    # a uint64 row above int64 is named as given, not as the int64 it would wrap to
+    with pytest.raises(ValueError, match=f"^row {2**63 + 5} out of range"):
+        SparseIncidence(np.array([0, 1], np.uint64), np.array([2**63 + 5], np.uint64), [1], (3, 1))
     # empty lists are float64 to numpy, but hold no value to refuse
     assert SparseIncidence([0], [], [], (3, 0)).nnz == 0
 

@@ -5,7 +5,8 @@ fit, and under NumPy's promotion rules a product of int32 arrays stays int32
 and wraps.  The referee below patches the narrowing limit to 0, so the same
 ledger is held at int64, and compares every analysis of both.  Its net has
 more than 2**31 place-transition cells, so a `column * places + row` key
-made at int32 would wrap on it.
+made at int32 would wrap on it.  The report writers' bytes are compared
+too, and the chain paths must be held at the stored width.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ from chainpetri import (
     repeated_groups,
     summary,
     top_k_active,
+    write_chain_report,
+    write_entity_report,
 )
+from chainpetri.chains import _chain_paths
 from helpers import v2_bytes
 from test_chains import SEALED_ONLY
 
@@ -64,10 +68,19 @@ def _plain(value):
     return value
 
 
+def _written(writer, *args) -> str:
+    fh = io.StringIO()
+    writer(fh, *args)
+    return fh.getvalue()
+
+
 def _level_analyses(net) -> dict:
     """What every analysis that runs at either level makes of the net."""
     sets = disposable_transactions(net, disposable_addresses(net))
     chains = build_chains(net, sets)
+    links, _, path, _ = _chain_paths(net, chains)
+    assert links.dtype == path.dtype == np.result_type(net.pre.tocsc().indices,
+                                                       net.post.tocsc().indices)
     repeats = repeated_groups(net)
     return {
         "disposable_addresses": disposable_addresses(net),
@@ -80,6 +93,7 @@ def _level_analyses(net) -> dict:
         "repeated_groups": repeats,
         "summary": summary(net),
         "chain_report": chain_report(net, chains),
+        "write_chain_report": _written(write_chain_report, net, chains),
         "repeat_report": repeat_report(net, repeats),
     }
 
@@ -89,7 +103,9 @@ def _analyses(net) -> dict:
     partition = compute_entities(net)
     entity = build_entity_net(net, partition)
     results = {"compute_entities": partition, "build_entity_net": entity,
-               "entity_report": entity_report(partition, net), **_level_analyses(net)}
+               "entity_report": entity_report(partition, net),
+               "write_entity_report": _written(write_entity_report, partition, net),
+               **_level_analyses(net)}
     assert set(SEALED_ONLY) <= results.keys()
     results["entity level"] = _level_analyses(entity.net)
     return _plain(results)

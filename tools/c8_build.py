@@ -6,15 +6,17 @@ usage: python3 tools/c8_build.py WORKDIR [--runs N] [--mode lax|strict] [--scale
 Writes the criterion-8 generator config (seed 8, 1,005,000 transactions and
 about 1,209,000 addresses at scale 1) to WORKDIR, runs `chainpetri synth`
 once into WORKDIR/blocks, runs `chainpetri build` on those blocks N times,
-then runs each command of `ANALYSES` once on the snapshot, each command in
-its own child process.  With `--snapshot PATH` it runs only the analyses,
-on that existing snapshot.  It prints one JSON line for the synth run, then
-one for each build, then one for each analysis: the wall seconds, the
-child's CPU seconds (user plus system) and its peak RSS, both from
-`os.wait4`, then for synth the sha256 over its block
-files in height order and `ground_truth.json`, for a build the sha256 of
-the snapshot and of its report, and for an analysis the sha256 over the
-files of its output directory in name order.  An analysis writes to a
+then runs the commands of `ANALYSES` in turn on the snapshot N times over,
+each command in its own child process; a peak moves by up to about 1 MB
+with heap layout, so one run of a command says little.  With `--snapshot
+PATH` it runs only the analyses, on that existing snapshot.  It prints one
+JSON line for the synth run, then one for each build, then one for each
+analysis run: the wall seconds, the child's CPU seconds (user plus system)
+and its peak RSS in MB of 10**6 bytes, as `bench/run.py` reports it, both
+from `os.wait4`, then for synth the sha256 over its block files in height
+order and `ground_truth.json`, for a build the sha256 of the snapshot and
+of its report, and for an analysis the sha256 over the files of its output
+directory in name order.  An analysis writes to a
 directory of WORKDIR named by its words without dashes (`stats --level
 entity` to WORKDIR/stats_level_entity); `repeats` and `top`, which print
 their result, write it to `stdout.json` there.  Every command runs with
@@ -47,7 +49,7 @@ C8_CONFIG = {
 }
 SEED = 8
 
-# the analysis half of the workflow, each command run once on the last snapshot
+# the analysis half of the workflow, run in turn on the last snapshot once per run
 ANALYSES = (
     ("entities",),
     ("chains",),
@@ -72,8 +74,8 @@ def scaled_config(scale: float) -> dict:
 
 def chainpetri(*args: str, stdout=None):
     """Run one chainpetri command in a child, its stdout to `stdout` if given;
-    returns its wall and CPU seconds and peak RSS in MB as JSON fields, and
-    fails on a non-zero exit."""
+    returns its wall and CPU seconds and peak RSS in MB (`ru_maxrss` is in KiB)
+    as JSON fields, and fails on a non-zero exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
     started = time.perf_counter()
@@ -86,7 +88,7 @@ def chainpetri(*args: str, stdout=None):
     if child.returncode:
         raise SystemExit(f"chainpetri {args[0]} exited with {child.returncode}")
     return {"wall_s": round(wall, 3), "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+            "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 2)}
 
 
 def sha256(*paths: str) -> str:
@@ -130,12 +132,13 @@ def main(argv=None) -> int:
     snapshot = args.snapshot or os.path.join(args.workdir, "net.snap")
     if not args.snapshot:
         build(args, snapshot)
-    for command in ANALYSES:
-        out = os.path.join(args.workdir, "_".join(word.lstrip("-") for word in command))
-        run = analyse(snapshot, command, out)
-        files = [os.path.join(out, name) for name in sorted(os.listdir(out))]
-        print(json.dumps({"command": " ".join(command), **run, "sha256": sha256(*files)}),
-              flush=True)
+    for number in range(args.runs):
+        for command in ANALYSES:
+            out = os.path.join(args.workdir, "_".join(word.lstrip("-") for word in command))
+            run = analyse(snapshot, command, out)
+            files = [os.path.join(out, name) for name in sorted(os.listdir(out))]
+            print(json.dumps({"run": number, "command": " ".join(command), **run,
+                              "sha256": sha256(*files)}), flush=True)
     return 0
 
 
