@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chains import disposable_addresses
-from .net import PlaceTransitionNet, _distinct, _label_groups, _offsets, _ranges, _split
+from .net import PlaceTransitionNet, _distinct, _label_groups, _offsets, _run_starts, _split
 
 SIDES = ("pre", "post", "both")
 
@@ -132,8 +132,8 @@ def repeated_groups(net: PlaceTransitionNet) -> RepeatGroups:
     Column identity includes the stored values, so entity-level nets group
     only transitions that repeat with the same multiplicities.  Singleton
     groups are omitted; groups come in the order of their first member.
-    Transitions that share a hash are compared entry by entry with the
-    smallest of them; a hash with a mismatch is grouped shape by shape.
+    Transitions that share a hash are grouped shape by shape: those with the
+    same entry counts are sorted by their entries, and equal neighbours repeat.
     """
     pre, post = net.pre.tocsc(), net.post.tocsc()
     pre_nnz, post_nnz = np.diff(pre.indptr), np.diff(post.indptr)
@@ -152,37 +152,28 @@ def repeated_groups(net: PlaceTransitionNet) -> RepeatGroups:
         entries ^= entries >> 33
         entries += 1
         keys = keys * _FOLD + np.diff(np.cumsum(sums, out=sums)[csc.indptr])
+    del sums, entries
     # one sort of the hashes with each transition's id in their low bits puts each
-    # run of one hash in id order, its smallest transition, its head, first
+    # run of one hash in id order; the candidates are the runs of two or more
     bits = net.num_transitions.bit_length()
     keys = np.sort(keys >> bits << bits | np.arange(net.num_transitions))
-    keys, cols = keys >> bits, keys & ((1 << bits) - 1)
-    shared = np.zeros(len(keys), dtype=bool)
-    np.equal(keys[1:], keys[:-1], out=shared[1:])
+    shared = ~_run_starts(keys >> bits)
     shared[:-1] |= shared[1:]
-    keys, cols = keys[shared], cols[shared]
-    head = cols[np.searchsorted(keys, keys)]
-    differ = (pre_nnz[cols] != pre_nnz[head]) | (post_nnz[cols] != post_nnz[head])
-    for csc in (pre, post):
-        lengths = np.where(differ, 0, np.diff(csc.indptr)[cols])
-        at, head_at = _ranges(csc.indptr[cols], lengths), _ranges(csc.indptr[head], lengths)
-        unequal = (csc.indices[at] != csc.indices[head_at]) | (csc.data[at] != csc.data[head_at])
-        differ[np.repeat(np.arange(len(cols)), lengths)[unequal]] = True
-    # each candidate's label is its run's head; a run with a mismatch is relabelled shape
-    # by shape, as only transitions with the same entry counts can repeat
-    first = head
-    mixed = np.flatnonzero(np.isin(head, head[differ]))
-    first[mixed] = cols[mixed]
-    _, shape = np.unique(pre_nnz[cols[mixed]].astype(np.int64) * (int(post_nnz.max(initial=0)) + 1)
-                         + post_nnz[cols[mixed]], return_inverse=True)
+    cols = keys[shared] & ((1 << bits) - 1)
+    del keys, shared
+    # each candidate is labelled by the smallest transition it repeats, itself if none;
+    # only transitions with the same entry counts can repeat
+    first = cols.copy()
+    _, shape = np.unique(pre_nnz[cols].astype(np.int64) * (int(post_nnz.max(initial=0)) + 1)
+                         + post_nnz[cols], return_inverse=True)
     for members in _label_groups(shape, 2):
-        at = mixed[members]
+        at = np.array(members)
         pre_at = pre.indptr[cols[at], None] + np.arange(pre_nnz[cols[at[0]]])
         post_at = post.indptr[cols[at], None] + np.arange(post_nnz[cols[at[0]]])
         rows = np.hstack([pre.indices[pre_at], pre.data[pre_at],
                           post.indices[post_at], post.data[post_at]])
-        # within a hash run candidates rise by id and the sort is stable, so each
-        # run of equal rows starts at its smallest transition
+        # equal rows share a hash, within a hash run candidates rise by id and the
+        # sort is stable, so each run of equal rows starts at its smallest transition
         order = np.lexsort(rows.T)
         rows, at = rows[order], at[order]
         starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChainIntegrityError
-from .net import PlaceTransitionNet, _json_strings, _offsets, _ranges, _split, _write_json_rows
+from .net import (
+    PlaceTransitionNet, _json_strings, _offsets, _ranges, _run_starts, _split, _write_json_rows,
+)
 
 
 @dataclass
@@ -108,8 +110,7 @@ def build_chains(net: PlaceTransitionNet, sets: DisposableSets) -> list[Chain]:
     order = np.lexsort((spender, link))
     link, spender = link[order], spender[order]
     del keep, order
-    smallest = np.ones(len(link), dtype=bool)
-    smallest[1:] = link[1:] != link[:-1]
+    smallest = _run_starts(link)
 
     # the jumping arrays index the chain transactions only
     ids = np.flatnonzero(in_chain).astype(width)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import PartitionMismatchError
 from .net import (
-    ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _json_strings,
-    _label_groups, _LabelRegistry, _offsets, _split, _write_json_rows,
+    ADDRESS_LEVEL, ENTITY_LEVEL, PlaceTransitionNet, SparseIncidence, _distinct, _json_strings,
+    _label_groups, _LabelRegistry, _offsets, _run_starts, _split, _write_json_rows,
 )
 
 
@@ -108,7 +108,7 @@ def _sum_rows(matrix: SparseIncidence, labels: np.ndarray, k: int) -> SparseInci
     run length, and a column's offset counts the runs that start before that range."""
     csc = matrix.tocsc()
     keys = np.sort(matrix.entry_columns() * k + labels[csc.indices])
-    first = np.diff(keys, prepend=-1) != 0
+    first = _run_starts(keys)
     # at the source's width, which holds every sum; the keys go before the matrix comes
     sums = np.diff(np.flatnonzero(first), append=len(keys)).astype(csc.indices.dtype)
     keys = (keys[first] % k).astype(csc.indices.dtype)
@@ -147,7 +147,7 @@ def cyclic_transitions(net: PlaceTransitionNet) -> list[int]:
     post_keys = net.post.entry_columns() * net.num_places + net.post.tocsc().indices
     found = np.searchsorted(post_keys, pre_keys)
     shared = post_keys.take(found, mode="clip") == pre_keys
-    return np.flatnonzero(np.bincount(pre_cols[shared], minlength=net.num_transitions)).tolist()
+    return _distinct(pre_cols[shared]).tolist()
 
 
 def entity_report(partition: EntityPartition, net: PlaceTransitionNet) -> list[dict]:

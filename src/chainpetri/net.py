@@ -267,11 +267,16 @@ class Block:
         return sizes
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of where each run of equal values starts in an ascending array."""
+    starts = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return starts
+
+
 def _distinct(ordered: np.ndarray) -> np.ndarray:
     """Distinct values of an ascending array by a neighbour mask (`np.unique` hashes: slower)."""
-    keep = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    return ordered[_run_starts(ordered)]
 
 
 def _check_index(index: int, size: int, what: str):
@@ -709,37 +714,31 @@ def _read_names(fh, section: str) -> _BlobRegistry:
     return _BlobRegistry(data, bounds)
 
 
-# buckets of at least this many equal-length names are hashed before bytes
-# are compared; hashing makes two numpy calls per 8 bytes of name length and,
-# for names of up to 64 bytes, beats the byte comparison from 512 names on
-_HASHED_BUCKET = 512
 _FNV_OFFSET, _FNV_PRIME = np.uint64(0xCBF29CE484222325), np.uint64(0x100000001B3)
 
 
 def _names_unique(data: bytes, bounds: np.ndarray) -> bool:
-    """Whether no two names in the blob are equal.  Names are bucketed by length.
-    A large bucket is hashed (FNV-1a) into one uint64 per name, 8 bytes per step,
+    """Whether no two names in the blob are equal.  Names are bucketed by length,
+    each bucket is hashed (FNV-1a) into one uint64 per name, 8 bytes per step,
     and only names whose hash another name shares are compared as bytes."""
     blob, lengths = np.frombuffer(data, dtype=np.uint8), np.diff(bounds)
     # the 8 bytes from each offset as one little-endian word: unaligned, no copy
     words = np.ndarray((max(len(data) - 7, 0),), "<u8", data, strides=(1,))
     # stable, so each bucket reads the blob in ascending order
     order = np.argsort(lengths, kind="stable")
-    edges = np.flatnonzero(np.diff(lengths[order], prepend=-1, append=-1)).tolist()
+    edges = [*np.flatnonzero(_run_starts(lengths[order])).tolist(), len(order)]
     for lo, hi in zip(edges, edges[1:]):
         starts = bounds[order[lo:hi]]
         length = int(lengths[order[lo]])
-        if len(starts) >= _HASHED_BUCKET:
-            # whole words, the last one overlapping the one before; a name
-            # under 8 bytes byte by byte
-            window, columns = ((words, [*range(0, length - 8, 8), length - 8]) if length >= 8
-                               else (blob, range(length)))
-            hashes = np.full(len(starts), _FNV_OFFSET)
-            for column in columns:
-                hashes ^= window[starts + column]
-                hashes *= _FNV_PRIME
-            ordered = np.sort(hashes)
-            starts = starts[np.isin(hashes, ordered[1:][ordered[1:] == ordered[:-1]])]
+        # whole words, the last overlapping the one before; a short name byte by byte
+        window, columns = ((words, [*range(0, length - 8, 8), length - 8]) if length >= 8
+                           else (blob, range(length)))
+        hashes = np.full(len(starts), _FNV_OFFSET)
+        for column in columns:
+            hashes ^= window[starts + column]
+            hashes *= _FNV_PRIME
+        ordered = np.sort(hashes)
+        starts = starts[np.isin(hashes, ordered[~_run_starts(ordered)])]
         names = [data[at:at + length] for at in starts.tolist()]
         if len(set(names)) != len(names):
             return False

@@ -222,10 +222,24 @@ def test_repeats_match_allpairs_oracle_whatever_the_hashes(collide, seed, level)
     net, pre, post = _oracle_net(seed, level)
     with pytest.MonkeyPatch.context() as patch:
         if collide:
-            # a column hashes to its entry count, so only the entry-by-entry check and
-            # the grouping shape by shape tell the columns of one count apart
+            # a column hashes to its entry count, so only the grouping shape by shape
+            # tells the columns of one count apart
             patch.setattr(chainpetri.analytics, "_MIX", np.int64(0))
         assert repeated_groups(net).groups == allpairs_repeat_groups(pre, post)
+
+
+def test_repeats_split_one_hash_run_into_its_groups():
+    # with `_MIX` patched to 0 every one-input, one-output transaction shares one hash:
+    # the run holds the groups {0, 4} and {1, 3, 5}, interleaved, and the singleton 2
+    txs = [("t0", ["x"], ["a"]), ("t1", ["y"], ["b"]), ("t2", ["x"], ["b"]),
+           ("t3", ["y"], ["b"]), ("t4", ["x"], ["a"]), ("t5", ["y"], ["b"]),
+           ("t6", [], ["a", "b"])]
+    _, pre, post = dense_replay(txs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chainpetri.analytics, "_MIX", np.int64(0))
+        repeats = repeated_groups(build_net(txs))
+    assert repeats.groups == [[0, 4], [1, 3, 5]] == allpairs_repeat_groups(pre, post)
+    assert repeats.repetition_count == 3
 
 
 def test_repeat_count_definition(sample_net):

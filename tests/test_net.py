@@ -665,7 +665,7 @@ def test_loaded_names_decode_one_at_a_time_in_batches_and_all():
 
 
 @pytest.mark.parametrize("collide", [False, True], ids=["fnv", "every-hash-equal"])
-@pytest.mark.parametrize("count", [3, chainpetri.net._HASHED_BUCKET], ids=["few", "hashed"])
+@pytest.mark.parametrize("count", [3, 512], ids=["few", "hashed"])
 def test_loaded_names_compared_by_their_bytes(sample_net, monkeypatch, collide, count):
     if collide:
         monkeypatch.setattr(chainpetri.net, "_FNV_PRIME", np.uint64(0))
@@ -684,7 +684,7 @@ def test_loaded_names_compared_by_their_bytes(sample_net, monkeypatch, collide, 
 
 
 def test_loaded_names_that_differ_only_under_the_last_word():
-    count = chainpetri.net._HASHED_BUCKET
+    count = 512
     # 12-byte addresses that differ only in bytes 8-11, which only the last
     # word (bytes 4-11) covers, and sha256 hex tx ids, 64 bytes, 8 words each
     places = [f"pppppppp{i:04d}" for i in range(count)]
@@ -717,8 +717,6 @@ def test_names_unique_agrees_with_a_set(collide, names, copies):
     encoded = [name.encode() for name in names]
     bounds = np.cumsum([0] + [len(name) for name in encoded])
     with pytest.MonkeyPatch.context() as patch:
-        # every bucket of two or more names is hashed
-        patch.setattr(chainpetri.net, "_HASHED_BUCKET", 2)
         if collide:
             patch.setattr(chainpetri.net, "_FNV_PRIME", np.uint64(0))
         unique = chainpetri.net._names_unique(b"".join(encoded), bounds)
