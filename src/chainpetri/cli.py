@@ -273,16 +273,17 @@ def _ingest_files(files, conversion: RawBlockReport | None, mode: str):
             return ingest(_ascending(files, conversion), mode=mode)
         except _Unordered as exc:
             recorded, done, parsed, unread = exc.recorded, exc.done, exc.parsed, exc.unread
-    # out of the handler, the partial net of the first attempt is gone
-    again = None if conversion is None else RawBlockReport()
-    blocks = [block for file in files[:recorded] for block in _file_blocks(*file, again)]
+    # the first attempt's net is gone here; waiting blocks share one str per address
+    again, shared = None if conversion is None else RawBlockReport(), {}
+    blocks = [block for file in files[:recorded] for block in _file_blocks(*file, again, shared)]
     if len(blocks) != done:
         raise _Fail(3, f"input changed while it was read: {recorded} file(s) from "
                        f"{files[0][0]} held {done} blocks, then {len(blocks)}")
-    blocks += parsed
+    blocks += [_share(block, shared) for block in parsed]
     del parsed
     for file in files[unread:]:
-        blocks += _file_blocks(*file, conversion)
+        blocks += _file_blocks(*file, conversion, shared)
+    del shared
     blocks.sort(key=lambda b: b.height)
     return ingest(_drain(blocks), mode=mode)
 
@@ -331,18 +332,26 @@ def _block_files(inputs) -> list[tuple[str, bool]]:
     return files
 
 
-def _file_blocks(path: str, may_stream: bool, conversion: RawBlockReport | None) -> list:
-    """The blocks of one file: one document, or else, where streams may be,
-    one block per non-blank line, named `path:line`."""
+def _file_blocks(path: str, may_stream: bool, conversion: RawBlockReport | None,
+                 shared: dict | None = None) -> list:
+    """The blocks of one file, each `_share`d as soon as it is parsed: one document,
+    or else, where streams may be, one block per non-blank line, named `path:line`."""
     text = _read_text(path)
     try:
-        return [_parse(path, text, conversion)]
+        return [_share(_parse(path, text, conversion), shared)]
     except _Fail as exc:
         # text that is not one JSON document is a newline-delimited stream
         if not (may_stream and isinstance(exc.__cause__, BlockParseError)):
             raise
-    return [_parse(f"{path}:{n}", line, conversion)
+    return [_share(_parse(f"{path}:{n}", line, conversion), shared)
             for n, line in enumerate(_lines(text), 1) if line.strip()]
+
+
+def _share(block, shared: dict | None):
+    """The block, its addresses swapped for the first equal strs `shared` has seen, if given."""
+    if shared is not None:
+        block.addresses = list(map(shared.setdefault, block.addresses, block.addresses))
+    return block
 
 
 def _lines(text: str):

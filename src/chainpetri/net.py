@@ -158,8 +158,8 @@ def _split(items: list, bounds: np.ndarray) -> list[list]:
     return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
-# strings per write of `_write_json_rows`, each row counting as one more: bounds
-# the text held at once
+# strings per write of `_write_json_rows`, each row counting as one more, and names
+# per write of a snapshot's name blob: bounds the text held at once
 _STRINGS_PER_WRITE = 2048
 
 
@@ -284,11 +284,6 @@ def _check_index(index: int, size: int, what: str):
         raise IndexError(f"{what} {index} out of range (0..{size - 1})")
 
 
-def _check_side(side: str):
-    if side not in SIDES:
-        raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
-
-
 class _Registry:
     """Names in id order plus the name -> id dict, built on the first lookup.
     Subclasses hold the names in other forms and decode on demand."""
@@ -309,24 +304,29 @@ class _Registry:
 
     def all(self) -> list[str]:
         """Every name in id order, as a fresh list."""
-        return self.names.copy()
+        return self.take(range(len(self)))
 
     def ids(self) -> dict[str, int]:
         if self.index is None:
             self.index = {name: i for i, name in enumerate(self.all())}
         return self.index
 
-    def encoded(self) -> tuple[np.ndarray, np.ndarray]:
-        """The names as one UTF-8 blob plus the offsets of each name in it."""
-        names = self.names
-        blob = "".join(names).encode()
-        lengths = np.fromiter(map(len, map(str.encode, names)), dtype=np.int64, count=len(names))
-        return np.frombuffer(blob, dtype=np.uint8), _offsets(lengths)
+    def write_blob(self, fh) -> np.ndarray:
+        """Write the names' UTF-8 blob as `write_array` would, the UTF-8 of
+        `_STRINGS_PER_WRITE` names per write; return each name's offset in it."""
+        names, step = self.names, _STRINGS_PER_WRITE
+        bounds = _offsets(np.fromiter(map(len, map(str.encode, names)), np.int64, len(names)))
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "|u1", "fortran_order": False, "shape": (int(bounds[-1]),)})
+        for lo in range(0, len(names), step):
+            fh.write("".join(names[lo:lo + step]).encode())
+        return bounds
 
 
-class _Building(dict):
-    """A building net's registry: a dict in id order from a tx id to its id or
-    from an address to its stamp.  It answers no name query until `seal()`."""
+class _Building(_Registry):
+    """A building net's registry: `names`, a plain dict in id order from a tx id to
+    its id or from an address to its stamp, which the collector never walks (a dict
+    subclass it would).  It answers no name query until `seal()`."""
 
     def name(self, *_):
         raise NetNotSealedError("name queries exist only on a sealed net")
@@ -354,11 +354,9 @@ class _BlobRegistry(_Registry):
         return [blob[lo:hi].decode()
                 for lo, hi in zip(bounds[ids].tolist(), bounds[ids + 1].tolist())]
 
-    def all(self) -> list[str]:
-        return self.take(np.arange(len(self)))
-
-    def encoded(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.frombuffer(self.blob, dtype=np.uint8), self.bounds
+    def write_blob(self, fh) -> np.ndarray:
+        np.lib.format.write_array(fh, np.frombuffer(self.blob, np.uint8), allow_pickle=False)
+        return self.bounds
 
 
 class _LabelRegistry(_Registry):
@@ -374,9 +372,6 @@ class _LabelRegistry(_Registry):
         labels = range(self.count)
         return [f"e{labels[i]}" for i in ids]
 
-    def all(self) -> list[str]:
-        return self.take(range(self.count))
-
 
 class PlaceTransitionNet:
     """Bipartite incidence model: places (addresses) x transitions (transactions).
@@ -390,7 +385,7 @@ class PlaceTransitionNet:
         # Build state, dropped by seal(): a tx id maps to its id, an address to its
         # stamp (what `_stamps` gave its first occurrence); per side, the stamp of
         # every arc in column order plus the column offsets into it.
-        self._places, self._txs = _Building(), _Building()
+        self._places, self._txs = _Building({}), _Building({})
         self._stamps = itertools.count()
         self._arcs: dict[str, tuple[array, array]] | None = {
             side: (array("q"), array("q", [0])) for side in SIDES
@@ -475,8 +470,8 @@ class PlaceTransitionNet:
         if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
         self._check_transaction(tx_id, inputs, outputs)
-        t = self._txs[tx_id] = len(self._txs)
-        intern = self._places.setdefault
+        t = self._txs.names[tx_id] = len(self._txs)
+        intern = self._places.names.setdefault
         for side, addresses in (("pre", inputs), ("post", outputs)):
             rows, offsets = self._arcs[side]
             rows.extend(sorted(set(map(intern, addresses, self._stamps))))
@@ -494,7 +489,7 @@ class PlaceTransitionNet:
         named = are_names([tx_id, *inputs, *outputs])
         if not (named or are_names([tx_id])):
             raise MalformedTransactionError(f"transaction id must be {NAME_RULE}")
-        if tx_id in self._txs or tx_id in earlier:
+        if tx_id in self._txs.names or tx_id in earlier:
             raise DuplicateTransactionError(f"transaction {tx_id!r} already recorded")
         if not named:
             raise ValueError(f"address must be {NAME_RULE}")
@@ -511,7 +506,7 @@ class PlaceTransitionNet:
             raise NetSealedError("cannot record transactions on a sealed net")
         sizes = self._check_block(block)
         tx_ids, addresses, count = block.tx_ids, block.addresses, len(block.tx_ids)
-        stamps = np.fromiter(map(self._places.setdefault, addresses, self._stamps),
+        stamps = np.fromiter(map(self._places.names.setdefault, addresses, self._stamps),
                              dtype=np.int64, count=len(addresses))
 
         # one arc per distinct (column, place) of each side, in column order
@@ -523,7 +518,7 @@ class PlaceTransitionNet:
             rows, offsets = self._arcs[side]
             offsets.frombytes((len(rows) + np.cumsum(np.bincount(col, minlength=count))).tobytes())
             rows.frombytes(row.tobytes())
-        self._txs.update(zip(tx_ids, itertools.count(len(self._txs))))
+        self._txs.names.update(zip(tx_ids, itertools.count(len(self._txs))))
 
     def _check_block(self, block: Block, rejected=frozenset()) -> np.ndarray:
         """Raise the error a `record_transaction` loop over the block would raise
@@ -534,7 +529,7 @@ class PlaceTransitionNet:
             raise TypeError("tx_ids and addresses must each be a list or a tuple")
         sizes = block._sizes()
         if not (sizes[1::2].min(initial=1) >= 1 and are_names(tx_ids) and are_names(addresses)
-                and len(set(tx_ids)) == len(tx_ids) and self._txs.keys().isdisjoint(tx_ids)
+                and len(set(tx_ids)) == len(tx_ids) and self._txs.names.keys().isdisjoint(tx_ids)
                 and rejected.isdisjoint(tx_ids)):
             earlier = set(rejected)
             for tx_id, inputs, outputs in block.transactions():
@@ -547,9 +542,9 @@ class PlaceTransitionNet:
         only its dict's names, and each arc's stamp becomes its place id: stamps rise in
         id order, so a place's id is the count of place stamps below its own."""
         if self._arcs is not None:
-            stamps = np.fromiter(self._places.values(), np.int64, len(self._places))
+            stamps = np.fromiter(self._places.names.values(), np.int64, len(self._places))
             # the dicts go before the rank array comes, so no moment holds both
-            self._places, self._txs = (_Registry(list(r)) for r in (self._places, self._txs))
+            self._places, self._txs = (_Registry(list(r.names)) for r in (self._places, self._txs))
             rank = np.zeros(int(stamps.max(initial=-1)) + 1, dtype=np.int64)
             rank[stamps] = 1
             del stamps
@@ -580,7 +575,8 @@ class PlaceTransitionNet:
 
     def incidence(self, side: str) -> SparseIncidence:
         """One side's incidence matrix (sealed nets only)."""
-        _check_side(side)
+        if side not in SIDES:
+            raise ValueError(f"side must be 'pre' or 'post', got {side!r}")
         if self._arcs is not None:
             raise NetNotSealedError("incidence matrices exist only on a sealed net")
         return self._incidence[side]
@@ -627,20 +623,15 @@ class PlaceTransitionNet:
                     os.remove(tmp)
 
     def _write_v2(self, fh):
-        # The magic line, then .npy records: each registry as one UTF-8 blob
-        # plus offsets, then each side's CSC indptr and indices (values are 1).
+        # The magic line, then .npy records: each registry's UTF-8 blob (written as its
+        # offsets are asked for) and offsets, then each side's CSC indptr and indices.
         fh.write(SNAPSHOT_MAGIC)
-        for array in self._records():
+        offsets = (registry.write_blob(fh) for registry in (self._places, self._txs))
+        columns = (self._incidence[side].tocsc()[:2] for side in SIDES)
+        for array in itertools.chain(offsets, *columns):
             if array.dtype == np.int64 and array.max(initial=0) < 2**31:
                 array = array.astype(np.int32)
             np.lib.format.write_array(fh, array, allow_pickle=False)
-
-    def _records(self):
-        # each record is made when its turn comes, so one registry's blob is held at a time
-        yield from self._places.encoded()
-        yield from self._txs.encoded()
-        for side in SIDES:
-            yield from self.incidence(side).tocsc()[:2]
 
 
 def load_snapshot(source) -> PlaceTransitionNet:

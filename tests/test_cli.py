@@ -383,6 +383,27 @@ def test_build_layouts_give_identical_outputs(tmp_path, fmt, mode):
                                         "skipped_transactions": 0}
 
 
+@pytest.mark.parametrize("fmt", ["canonical", "rawblock"])
+def test_blocks_waiting_for_the_sort_share_one_str_per_address(tmp_path, monkeypatch, fmt):
+    layouts = _write_layouts(tmp_path, _layout_ledger(), fmt)
+    received, ingest = [], cli.ingest
+
+    def capture(blocks, mode):
+        # the first attempt raises inside `list`, so only the sorted blocks arrive
+        received.append(list(blocks))
+        return ingest(iter(received[-1]), mode=mode)
+
+    monkeypatch.setattr(cli, "ingest", capture)
+    assert main(["build", *map(str, layouts["shuffled"]), "--format", fmt,
+                 "--out", str(tmp_path / "net.snap")]) == 0
+    [blocks] = received
+    assert [block.height for block in blocks] == list(range(7))
+    addresses = [address for block in blocks for address in block.addresses]
+    # some address repeats, and all occurrences of each address are one object
+    assert len(set(addresses)) < len(addresses)
+    assert len(set(map(id, addresses))) == len(set(addresses))
+
+
 def _logged_build(monkeypatch, argv):
     """Run `build` and return what it read and recorded, in order."""
     events = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import random
@@ -311,6 +312,16 @@ net_queries = [
 ]
 
 
+def test_build_registries_are_dicts_the_collector_does_not_walk():
+    net = PlaceTransitionNet()
+    for record in (lambda: net.record_block(Block.of(0, SAMPLE_TXS[:4])),
+                   lambda: [net.record_transaction(*tx) for tx in SAMPLE_TXS[4:]]):
+        record()
+        for registry in (net._places.names, net._txs.names):
+            assert type(registry) is dict and registry and not gc.is_tracked(registry)
+    assert (net.num_places, net.num_transitions) == (6, 7)
+
+
 def test_queries_require_seal(sample_net):
     net = build_net(SAMPLE_TXS, seal=False)
     for query in net_queries:
@@ -472,6 +483,20 @@ def test_snapshot_trailing_data(tmp_path, sample_net):
         load_snapshot(path)
 
 
+class _FailingFile(io.FileIO):
+    """A file whose write number `fail_at` raises OSError."""
+
+    def __init__(self, name, mode, fail_at: int):
+        super().__init__(name, mode)
+        self.writes, self.fail_at = 0, fail_at
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError("disk full")
+        return super().write(data)
+
+
 def test_failed_save_keeps_destination_and_leaves_no_temporary(tmp_path, sample_net,
                                                                monkeypatch):
     path = tmp_path / "net.snapshot"
@@ -480,11 +505,76 @@ def test_failed_save_keeps_destination_and_leaves_no_temporary(tmp_path, sample_
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(np.lib.format, "write_array", fail)
-    with pytest.raises(OSError):
-        sample_net.save_snapshot(path)
+    # first called for the place offsets, after the places' blob is written
+    with monkeypatch.context() as patch:
+        patch.setattr(np.lib.format, "write_array", fail)
+        with pytest.raises(OSError):
+            sample_net.save_snapshot(path)
     assert path.read_bytes() == b"previous"
     assert [p.name for p in tmp_path.iterdir()] == ["net.snapshot"]
+
+    # the magic line, the places' header and first name go through; the
+    # second name's write, inside the record, fails
+    files = []
+
+    def failing_open(name, mode):
+        files.append(_FailingFile(name, mode, fail_at=4))
+        return files[-1]
+
+    monkeypatch.setattr(chainpetri.net, "_STRINGS_PER_WRITE", 1)
+    monkeypatch.setattr(chainpetri.net, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        sample_net.save_snapshot(path)
+    assert [file.writes for file in files] == [4] and files[0].closed
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["net.snapshot"]
+
+
+def _joined_snapshot(net) -> bytes:
+    """The snapshot of a sealed net as `write_array` writes each record whole,
+    each name blob encoded in one piece."""
+    records = []
+    for names in (net.place_names, net.transaction_ids):
+        encoded = [name.encode() for name in names]
+        records += [np.frombuffer(b"".join(encoded), dtype=np.uint8),
+                    np.cumsum([0, *map(len, encoded)]).astype(np.int32)]
+    for side in ("pre", "post"):
+        records += net.incidence(side).tocsc()[:2]
+    return v2_join(chainpetri.net.SNAPSHOT_MAGIC, records)
+
+
+_WIDE_NAMES = [("t-é", [], ["é", "中", "𝄞"]), ("中t", ["é", "中"], ["x𝄞y", "ascii"]),
+               ("𝄞", ["x𝄞y"], ["é"]), ("t4", ["ascii", "é"], ["中中", "𝄞𝄞"])]
+
+
+class _Writes(io.BytesIO):
+    """A stream that keeps what each write was given."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return super().write(data)
+
+
+@pytest.mark.parametrize("limit", [1, 3, 2048])
+@pytest.mark.parametrize("kind", ["multibyte", "one_name", "loaded"])
+def test_streamed_name_records_are_byte_identical(monkeypatch, limit, kind):
+    net = build_net([("t", [], ["𝄞"])] if kind == "one_name" else _WIDE_NAMES)
+    if kind == "loaded":
+        net = load_snapshot(io.BytesIO(v2_bytes(net)))
+    expected = _joined_snapshot(net)
+    monkeypatch.setattr(chainpetri.net, "_STRINGS_PER_WRITE", limit)
+    stream = _Writes()
+    net.save_snapshot(stream)
+    assert stream.getvalue() == expected
+    if kind != "loaded":
+        # a built net's names go `limit` at a time, each batch in one write
+        for names in (net.place_names, net.transaction_ids):
+            batches = [names[lo:lo + limit] for lo in range(0, len(names), limit)]
+            assert all("".join(batch).encode() in stream.writes for batch in batches)
 
 
 def _reverse(array, lo, hi):
@@ -795,7 +885,7 @@ def _building_state(net):
     """Everything a net under construction holds: its address -> stamp and
     tx id -> id dicts and its arcs, as plain dicts and lists."""
     arcs = {side: (list(rows), list(offsets)) for side, (rows, offsets) in net._arcs.items()}
-    return dict(net._places), dict(net._txs), arcs
+    return dict(net._places.names), dict(net._txs.names), arcs
 
 
 side_names = st.lists(st.sampled_from(["A", "B", "C", "é", ""]), max_size=3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -51,6 +52,7 @@ def test_c8_build_times_repeated_builds_of_one_ledger(tmp_path):
     (synth, *runs), analyses = lines[:3], lines[3:]
     assert synth["command"] == "synth" and synth["wall_s"] > 0 and synth["peak_rss_mb"] > 0
     assert all(line["cpu_s"] > 0 for line in lines)
+    assert all(line["gen2_collections"] >= 0 and line["gen2_pause_s"] >= 0 for line in lines)
     assert synth["sha256"] == synth_sha256(tmp_path / "blocks")
     assert [run["run"] for run in runs] == [0, 1]
     for run in runs:
@@ -87,7 +89,9 @@ def test_c8_build_analyses_a_given_snapshot(tmp_path, sample_net):
     assert sorted(path.name for path in workdir.iterdir()) == sorted(
         directory for directory, _ in ANALYSES.values())
     for line in lines:
-        assert set(line) == {"run", "command", "wall_s", "cpu_s", "peak_rss_mb", "sha256"}
+        assert set(line) == {"run", "command", "wall_s", "cpu_s", "peak_rss_mb",
+                             "gen2_collections", "gen2_pause_s", "sha256"}
+        assert isinstance(line["gen2_collections"], int) and line["gen2_pause_s"] >= 0
         assert line["run"] == 0
         assert line["wall_s"] > 0 and line["cpu_s"] > 0 and line["peak_rss_mb"] > 0
         assert line["sha256"] == _analysis_sha256(workdir, line["command"])
@@ -99,11 +103,42 @@ def test_c8_build_reports_peaks_in_decimal_megabytes(monkeypatch):
     # bench/run.py reports peaks, and not 976.6 MiB
     c8 = _c8_build()
     usage = types.SimpleNamespace(ru_maxrss=1_000_000, ru_utime=1.25, ru_stime=0.5)
-    monkeypatch.setattr(c8.subprocess, "Popen", lambda *args, **kwargs: types.SimpleNamespace(
-        pid=0, returncode=None))
+
+    def popen(argv, **kwargs):
+        # what the launcher writes to the descriptor it is given after its code
+        os.write(int(argv[3]), b'{"gen2_collections": 3, "gen2_pause_s": 0.25}')
+        return types.SimpleNamespace(pid=0, returncode=None)
+
+    monkeypatch.setattr(c8.subprocess, "Popen", popen)
     monkeypatch.setattr(c8.os, "wait4", lambda pid, options: (pid, 0, usage))
     run = c8.chainpetri("top", "net.snap")
     assert run["peak_rss_mb"] == 1024.0 and run["cpu_s"] == 1.75
+    assert (run["gen2_collections"], run["gen2_pause_s"]) == (3, 0.25)
+
+
+def test_c8_build_launcher_runs_the_cli_as_main_and_times_gen2_collections(tmp_path):
+    # a stand-in `chainpetri.cli` that collects generation 2 twice and generation 1
+    # once, then exits with a code that shows it ran as __main__ with its arguments
+    package = tmp_path / "chainpetri"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import gc, sys\n"
+        "if __name__ == '__main__':\n"
+        "    gc.collect(); gc.collect(1); gc.collect()\n"
+        "    sys.exit(5 if sys.argv[1:] == ['--k', '3'] else 1)\n")
+    read, write = os.pipe()
+    try:
+        done = subprocess.run([sys.executable, "-c", _c8_build().LAUNCHER, str(write), "--k", "3"],
+                              env={**os.environ, "PYTHONPATH": str(tmp_path)}, pass_fds=(write,),
+                              timeout=60)
+    finally:
+        os.close(write)
+    with open(read, "rb") as fh:
+        stats = json.loads(fh.read())
+    assert done.returncode == 5
+    # at least the two asked for; the interpreter may start one of its own
+    assert stats["gen2_collections"] >= 2 and 0 <= stats["gen2_pause_s"] < 10
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:

@@ -13,14 +13,16 @@ PATH` it runs only the analyses, on that existing snapshot.  It prints one
 JSON line for the synth run, then one for each build, then one for each
 analysis run: the wall seconds, the child's CPU seconds (user plus system)
 and its peak RSS in MB of 10**6 bytes, as `bench/run.py` reports it, both
-from `os.wait4`, then for synth the sha256 over its block files in height
-order and `ground_truth.json`, for a build the sha256 of the snapshot and
-of its report, and for an analysis the sha256 over the files of its output
-directory in name order.  An analysis writes to a
+from `os.wait4`, the count of the child's gen-2 collections and their total
+pause in seconds, timed in the child by `gc.callbacks`, then for synth the
+sha256 over its block files in height order and `ground_truth.json`, for a
+build the sha256 of the snapshot and of its report, and for an analysis the
+sha256 over the files of its output directory in name order.  An analysis writes to a
 directory of WORKDIR named by its words without dashes (`stats --level
 entity` to WORKDIR/stats_level_entity); `repeats` and `top`, which print
 their result, write it to `stdout.json` there.  Every command runs with
-`--no-timestamp`.  The children import chainpetri from the `src/` directory
+`--no-timestamp`.  Each child runs `LAUNCHER`, which runs `chainpetri.cli` as
+`python -m` would.  The children import chainpetri from the `src/` directory
 beside this script; this process imports neither chainpetri nor numpy, so
 its own size does not reach the children's peaks.  `--scale` multiplies
 the counts of planted structures and fillers, for quick runs.
@@ -72,23 +74,55 @@ def scaled_config(scale: float) -> dict:
     return config
 
 
+# `python -c LAUNCHER FD ARG...` runs `chainpetri ARG...` through the function that
+# `python -m chainpetri.cli` calls, timing each gen-2 collection; at exit it writes
+# their count and total pause to file descriptor FD as a JSON object.  It imports
+# only what `python -m` or the command imports anyway, `json` once the command has.
+LAUNCHER = """\
+import gc, os, runpy, sys, time
+fd, pauses = int(sys.argv.pop(1)), []
+
+def timed(phase, info):
+    # a collection's start time, replaced by its pause when it stops
+    if info["generation"] == 2:
+        now = time.perf_counter()
+        pauses.append(now if phase == "start" else now - pauses.pop())
+
+gc.callbacks.append(timed)
+try:
+    runpy._run_module_as_main("chainpetri.cli")
+finally:
+    import json
+    os.write(fd, json.dumps({"gen2_collections": len(pauses),
+                             "gen2_pause_s": round(sum(pauses, 0.0), 4)}).encode())
+"""
+
+
 def chainpetri(*args: str, stdout=None):
-    """Run one chainpetri command in a child, its stdout to `stdout` if given;
-    returns its wall and CPU seconds and peak RSS in MB (`ru_maxrss` is in KiB)
-    as JSON fields, and fails on a non-zero exit."""
+    """Run one chainpetri command in a child through `LAUNCHER`, its stdout to
+    `stdout` if given; returns its wall and CPU seconds, its peak RSS in MB
+    (`ru_maxrss` is in KiB) and its gen-2 collections and pause seconds as JSON
+    fields, and fails on a non-zero exit."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+    read, write = os.pipe()
     started = time.perf_counter()
-    child = subprocess.Popen([sys.executable, "-m", "chainpetri.cli", "--no-timestamp", *args],
-                             env=env, stdout=stdout)
+    try:
+        child = subprocess.Popen([sys.executable, "-c", LAUNCHER, str(write), "--no-timestamp",
+                                  *args], env=env, stdout=stdout, pass_fds=(write,))
+    finally:
+        os.close(write)
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - started
     # reaped here, so tell the Popen object it is done
     child.returncode = os.waitstatus_to_exitcode(status)
+    # the launcher's few bytes fit the pipe's buffer, so reading after the wait cannot block it
+    with open(read, "rb") as fh:
+        collections = fh.read()
     if child.returncode:
         raise SystemExit(f"chainpetri {args[0]} exited with {child.returncode}")
     return {"wall_s": round(wall, 3), "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
-            "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 2)}
+            "peak_rss_mb": round(usage.ru_maxrss * 1024 / 1e6, 2), **json.loads(collections)}
 
 
 def sha256(*paths: str) -> str:
