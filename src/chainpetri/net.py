@@ -324,9 +324,9 @@ class _Registry:
 
 
 class _Building(_Registry):
-    """A building net's registry: `names`, a plain dict in id order from a tx id to
-    its id or from an address to its stamp, which the collector never walks (a dict
-    subclass it would).  It answers no name query until `seal()`."""
+    """A building net's registry: `names`, a plain dict in id order from each name
+    to its final id, which the collector never walks (a dict subclass it would).
+    It answers no name query until `seal()`."""
 
     def name(self, *_):
         raise NetNotSealedError("name queries exist only on a sealed net")
@@ -382,11 +382,11 @@ class PlaceTransitionNet:
 
     def __init__(self):
         self._level = ADDRESS_LEVEL
-        # Build state, dropped by seal(): a tx id maps to its id, an address to its
-        # stamp (what `_stamps` gave its first occurrence); per side, the stamp of
-        # every arc in column order plus the column offsets into it.
+        # Build state, dropped by seal(): each name maps to its id; `_place_ids` yields
+        # the address count at each step, the id a new address takes; per side, the
+        # place id of every arc in column order plus the column offsets into it.
         self._places, self._txs = _Building({}), _Building({})
-        self._stamps = itertools.count()
+        self._place_ids = map(len, itertools.repeat(self._places.names))
         self._arcs: dict[str, tuple[array, array]] | None = {
             side: (array("q"), array("q", [0])) for side in SIDES
         }
@@ -399,7 +399,7 @@ class PlaceTransitionNet:
         net = cls()
         net._level, net._places, net._txs = level, places, txs
         net._incidence = {"pre": pre, "post": post}
-        net._arcs = None
+        net._arcs = net._place_ids = None
         return net
 
     # -- registry: on a building net only the counts answer ----------------
@@ -461,7 +461,7 @@ class PlaceTransitionNet:
         """Record one transaction: pre-arcs from inputs, post-arcs to outputs.
 
         `inputs` and `outputs` are each a list or tuple of addresses, and each
-        is interned in one pass that draws a stamp per address.  Duplicate
+        is interned in one pass: a new address takes the next place id.  Duplicate
         addresses within one side collapse to a single arc of weight 1.  Empty
         `inputs` marks a coinbase; `outputs` must be non-empty.  Everything is
         checked before anything changes, so a refused transaction leaves the
@@ -474,7 +474,7 @@ class PlaceTransitionNet:
         intern = self._places.names.setdefault
         for side, addresses in (("pre", inputs), ("post", outputs)):
             rows, offsets = self._arcs[side]
-            rows.extend(sorted(set(map(intern, addresses, self._stamps))))
+            rows.extend(sorted(set(map(intern, addresses, self._place_ids))))
             offsets.append(len(rows))
         return t
 
@@ -497,24 +497,24 @@ class PlaceTransitionNet:
     def record_block(self, block: Block):
         """Record a `Block` whole, interning it in one pass.
 
-        Its `tx_ids` and `addresses` are lists or tuples.  The net, its stamps
-        included, comes out as `record_transaction` on each transaction in turn
-        leaves it, and a refused block raises what that loop would raise first,
-        but leaves the net unchanged.
+        Its `tx_ids` and `addresses` are lists or tuples.  The net, its place
+        ids included, comes out as `record_transaction` on each transaction in
+        turn leaves it, and a refused block raises what that loop would raise
+        first, but leaves the net unchanged.
         """
         if self._arcs is None:
             raise NetSealedError("cannot record transactions on a sealed net")
         sizes = self._check_block(block)
         tx_ids, addresses, count = block.tx_ids, block.addresses, len(block.tx_ids)
-        stamps = np.fromiter(map(self._places.names.setdefault, addresses, self._stamps),
+        places = np.fromiter(map(self._places.names.setdefault, addresses, self._place_ids),
                              dtype=np.int64, count=len(addresses))
 
         # one arc per distinct (column, place) of each side, in column order
-        width = int(stamps.max(initial=0)) + 1
+        width = len(self._places)
         cols = np.repeat(np.repeat(np.arange(count), 2), sizes)
         is_post = np.repeat(np.tile([False, True], count), sizes)
         for side, on in (("pre", ~is_post), ("post", is_post)):
-            col, row = np.divmod(_distinct(np.sort(cols[on] * width + stamps[on])), width)
+            col, row = np.divmod(_distinct(np.sort(cols[on] * width + places[on])), width)
             rows, offsets = self._arcs[side]
             offsets.frombytes((len(rows) + np.cumsum(np.bincount(col, minlength=count))).tobytes())
             rows.frombytes(row.tobytes())
@@ -539,28 +539,18 @@ class PlaceTransitionNet:
 
     def seal(self) -> "PlaceTransitionNet":
         """Freeze the net; analytics need a sealed net.  Idempotent.  Each registry keeps
-        only its dict's names, and each arc's stamp becomes its place id: stamps rise in
-        id order, so a place's id is the count of place stamps below its own."""
+        only its dict's names; the arcs already hold place ids."""
         if self._arcs is not None:
-            stamps = np.fromiter(self._places.names.values(), np.int64, len(self._places))
-            # the dicts go before the rank array comes, so no moment holds both
+            # the id source refers to the address dict: dropped first, it lets the dict go
+            # with its registry
+            self._place_ids = None
             self._places, self._txs = (_Registry(list(r.names)) for r in (self._places, self._txs))
-            rank = np.zeros(int(stamps.max(initial=-1)) + 1, dtype=np.int64)
-            rank[stamps] = 1
-            del stamps
-            np.cumsum(rank, out=rank)
-            rank -= 1
-            for rows, _ in self._arcs.values():
-                arcs = np.frombuffer(rows, dtype=np.int64)
-                # in place: "clip" never applies to a stamp and, unlike "raise", needs no buffer
-                np.take(rank, arcs, out=arcs, mode="clip")
-            del rank
             shape = (self.num_places, self.num_transitions)
             # a side's build arrays go once its matrix holds them, narrowed where they fit
             for side in SIDES:
                 rows, offsets = self._arcs.pop(side)
                 self._incidence[side] = SparseIncidence(offsets, rows, _ones(len(rows)), shape)
-            self._arcs = self._stamps = None
+            self._arcs = None
         return self
 
     # -- queries -----------------------------------------------------------

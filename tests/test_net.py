@@ -705,6 +705,8 @@ def test_registries_shared_and_looked_up(tmp_path, sample_net, sample_blocks):
         assert net.transition_of("t5") == 4
         entity = build_entity_net(net, compute_entities(net)).net
         assert entity._txs is net._txs
+        # a sealed net keeps no build state, whether sealed, loaded or assembled
+        assert net._arcs is net._place_ids is entity._arcs is entity._place_ids is None
         assert entity.transition_of("t7") == 6 and entity.tx_id_of(6) == "t7"
         assert entity.place_of("e1") == 1 and entity.lookup_place("a1") is None
         assert entity.address_of(3) == "e3" and entity.place_names == ["e0", "e1", "e2", "e3"]
@@ -882,8 +884,8 @@ def test_snapshot_round_trip_property(batch, rnd):
 
 
 def _building_state(net):
-    """Everything a net under construction holds: its address -> stamp and
-    tx id -> id dicts and its arcs, as plain dicts and lists."""
+    """Everything a net under construction holds: its address -> place id and
+    tx id -> transition id dicts and its arcs, as plain dicts and lists."""
     arcs = {side: (list(rows), list(offsets)) for side, (rows, offsets) in net._arcs.items()}
     return dict(net._places.names), dict(net._txs.names), arcs
 
@@ -973,10 +975,10 @@ def test_recording_is_one_numbering_whatever_the_call_mix(steps):
     for kind, arg in steps:
         if kind == "refused":
             call, error = arg
-            before = _building_state(mixed), repr(mixed._stamps)
+            before = _building_state(mixed)
             with pytest.raises(error):
                 call(mixed)
-            assert (_building_state(mixed), repr(mixed._stamps)) == before
+            assert _building_state(mixed) == before
         else:
             sides = [arg] if kind == "transaction" else arg
             txs = [(f"x{len(tx_ids) + j}", ins, outs) for j, (ins, outs) in enumerate(sides)]
@@ -990,7 +992,8 @@ def test_recording_is_one_numbering_whatever_the_call_mix(steps):
                 for addr in inputs + outputs:
                     first_seen.setdefault(addr, len(first_seen))
         assert _building_state(mixed) == _building_state(plain)
-        assert repr(mixed._stamps) == repr(plain._stamps)
+        # ids are final as addresses are first seen, whichever call records them
+        assert dict(mixed._places.names) == first_seen
         assert mixed.num_places == len(first_seen) and mixed.num_transitions == len(tx_ids)
     names = list(first_seen)
     for net in (mixed.seal(), plain.seal()):
@@ -1002,6 +1005,20 @@ def test_recording_is_one_numbering_whatever_the_call_mix(steps):
         assert [net.transition_of(tx_id) for tx_id in tx_ids] == list(range(len(tx_ids)))
     _assert_nets_equal(mixed, plain)
     assert v2_bytes(mixed) == v2_bytes(plain)
+
+
+def test_building_arcs_hold_final_place_ids():
+    # addresses repeat within a side, across sides and across calls
+    net = PlaceTransitionNet()
+    net.record_block(Block.of(0, [("c", [], ["A", "B", "A"]), ("t", ["A"], ["C", "B"])]))
+    net.record_transaction("u", ["C", "B", "C"], ["D"])
+    net.record_block(Block.of(1, [("v", ["D", "A"], ["E", "D", "E"])]))
+    building = {side: list(net._arcs[side][0]) for side in ("pre", "post")}
+    net.seal()
+    assert net.place_names == ["A", "B", "C", "D", "E"]
+    for side in ("pre", "post"):
+        assert building[side] == net.incidence(side).tocsc().indices.tolist()
+    assert building == {"pre": [0, 1, 2, 0, 3], "post": [0, 1, 1, 2, 3, 3, 4]}
 
 
 @pytest.mark.parametrize("block", [

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 import types
@@ -161,6 +162,11 @@ def test_bench_pair_runs_one_pair_against_head():
         assert run["correct"] and run["failed"] == 0 and set(run["metrics"]) == metrics
     assert summary["rev"] == "HEAD" and summary["pairs"] == 1
     assert set(summary["median_change_pct"]) == set(summary["better_pairs"]) == metrics
+    # the parent's runs of one pair have no spread between their quartiles
+    assert summary["parent_iqr_pct"] == dict.fromkeys(metrics, 0.0)
+    # of 1..8, the quartiles 2.75 and 6.25 lie 3.5 apart around the median 4.5
+    spread_pct = runpy.run_path(str(TOOLS / "bench_pair.py"))["spread_pct"]
+    assert spread_pct([8, 1, 7, 2, 6, 3, 5, 4]) == 77.78
     # both sides read the same inputs, so they write snapshots of one size
     assert runs[0]["metrics"]["snapshot_mb"] == runs[1]["metrics"]["snapshot_mb"]
 

@@ -11,7 +11,9 @@ so generated inputs are shared.  Before each run, `src/` becomes either
 `bench/run.py` once per side, and the side that goes first alternates.  The
 script prints one JSON line per run, then one line with the median change in
 percent of each end-to-end metric of `BENCHMARK.json`, working tree against
-REV, and the number of pairs in which the working tree was better.  A REV
+REV, the number of pairs in which the working tree was better, and the
+distance between the quartiles of REV's runs in percent of their median
+(0 for one pair): a median change inside that spread shows nothing.  A REV
 that names no tree of the checkout, or a checkout outside git, exits with
 code 3.
 """
@@ -48,6 +50,14 @@ def run_side(checkout: Path, tree: Path, args) -> dict:
     if done.returncode:
         raise SystemExit(f"bench/run.py exited with {done.returncode}")
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def spread_pct(values: list[float]) -> float:
+    """The interquartile range of `values` in percent of their median; 0 for one value."""
+    if len(values) < 2:
+        return 0.0
+    low, median, high = statistics.quantiles(values, n=4, method="inclusive")
+    return round(100 * (high - low) / median, 2)
 
 
 def main(argv=None) -> int:
@@ -100,14 +110,16 @@ def main(argv=None) -> int:
                                   "failed": result["failed"], "metrics": values}), flush=True)
                 results[side].append(values)
 
-    change, better = {}, {}
+    change, better, spread = {}, {}, {}
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
         pairs = [(r[name], t[name]) for r, t in zip(results["rev"], results["tree"])]
         change[name] = round(statistics.median(100 * (t / r - 1) for r, t in pairs), 2)
         better[name] = sum(sign * (t - r) > 0 for r, t in pairs)
+        spread[name] = spread_pct([r for r, _ in pairs])
     print(json.dumps({"rev": args.rev, "workload": args.workload, "pairs": args.pairs,
-                      "median_change_pct": change, "better_pairs": better}))
+                      "median_change_pct": change, "better_pairs": better,
+                      "parent_iqr_pct": spread}))
     return 0
 
 
